@@ -19,7 +19,6 @@ from .hjb import (
     solve_after,
     solve_pre,
     solve_system,
-    utility_view,
     validate_grid_for,
 )
 from .model import (
@@ -71,7 +70,6 @@ __all__ = [
     "solve_pre",
     "solve_system",
     "sweep",
-    "utility_view",
     "validate_grid_for",
 ]
 

@@ -313,7 +313,7 @@ def cmd_ode_check(cfg: dict) -> dict:
     params = build_market(cfg)
     variant = build_variant(cfg)
     curve = solve_f_backward(params, variant, build_ode(cfg))
-    closed = np.array([f_closed_form(params, t, variant) for t in curve.times])
+    closed = f_closed_form(params, curve.times, variant)
     deviation = float(np.max(np.abs(curve.values - closed)))
     return {
         "config": cfg,
@@ -426,7 +426,7 @@ def cmd_verify(cfg: dict) -> dict:
     f0_closed = f_closed_form(params, 0.0, variant)
 
     curve = solve_f_backward(params, variant, build_ode(cfg))
-    closed_on_grid = np.array([f_closed_form(params, t, variant) for t in curve.times])
+    closed_on_grid = f_closed_form(params, curve.times, variant)
     ode_dev = float(np.max(np.abs(curve.values - closed_on_grid)))
 
     _, _, grid, surface = _solve_merton_surface(cfg)

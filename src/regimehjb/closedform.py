@@ -76,9 +76,8 @@ def f_ode_coefficients(params: MarketParams,
     return k, -k
 
 
-def f_closed_form(params: MarketParams, t: float,
-                  variant: FCoefficientVariant = FCoefficientVariant.DERIVED,
-                  ) -> float:
+def f_closed_form(params: MarketParams, t,
+                  variant: FCoefficientVariant = FCoefficientVariant.DERIVED):
     """Explicit solution of the f(t) terminal-value equation.
 
     For h above the zero threshold:
@@ -86,16 +85,21 @@ def f_closed_form(params: MarketParams, t: float,
         f(t) = r (T - t) + (K / h) * (1 - exp(-h (T - t))),
 
     and the h -> 0 limit (K + r) (T - t) below it. f(T) = 0 exactly in
-    both branches.
+    both branches. Accepts scalar t (returns a float) or an array of times;
+    the array path uses np.expm1, which can differ from the scalar
+    math.expm1 in the last bit.
     """
-    if not 0.0 <= t <= params.horizon_T:
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t_arr) & (t_arr <= params.horizon_T)):
         raise ValueError("t must lie in [0, horizon_T]")
     k, _ = f_ode_coefficients(params, variant)
-    s = params.horizon_T - t
+    scalar = t_arr.ndim == 0
+    s = params.horizon_T - (float(t_arr) if scalar else t_arr)
     h = params.h
     if h <= H_ZERO_THRESHOLD:
         return (k + params.r) * s
-    return params.r * s + (k / h) * (-math.expm1(-h * s))
+    expm1 = math.expm1 if scalar else np.expm1
+    return params.r * s + (k / h) * (-expm1(-h * s))
 
 
 def policy_log_drift(params: MarketParams, pi) -> float:

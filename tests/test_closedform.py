@@ -154,6 +154,25 @@ class TestFClosedForm:
             f_closed_form(ACCEPT, -0.1)
         with pytest.raises(ValueError):
             f_closed_form(ACCEPT, 1.1)
+        with pytest.raises(ValueError):
+            f_closed_form(ACCEPT, np.array([0.0, 0.5, 1.1]))
+        with pytest.raises(ValueError):
+            f_closed_form(ACCEPT, np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("variant", [DERIVED, PAPER])
+    @pytest.mark.parametrize("h", [0.0, 1e-11, 0.02, 0.6])
+    def test_array_times_match_scalar_calls(self, variant, h):
+        p = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
+        ts = np.linspace(0.0, p.horizon_T, 10_001)
+        f = f_closed_form(p, ts, variant)
+        assert isinstance(f, np.ndarray) and f.shape == ts.shape
+        scalar = np.array([f_closed_form(p, t, variant) for t in ts])
+        assert np.max(np.abs(f - scalar)) <= 1e-15
+        assert f[-1] == 0.0
+
+    def test_scalar_time_returns_float(self):
+        assert type(f_closed_form(ACCEPT, 0.5)) is float
+        assert type(f_closed_form(ACCEPT, np.float64(0.5))) is float
 
 
 class TestExpectedLogUtilityExact:

@@ -5,10 +5,11 @@ import pytest
 
 from regimehjb.closedform import f_closed_form, optimal_weight
 from regimehjb.hjb import (CflViolationError, GridSpec, NumericalError,
-                           ValueSurface, pre_hamiltonian, solve_after,
-                           solve_pre, solve_system, utility_view,
+                           ValueSurface, post_hamiltonian, pre_hamiltonian,
+                           solve_after, solve_pre, solve_system,
                            validate_grid_for)
-from regimehjb.model import DefaultLossModel, MarketParams, merton_as_generic
+from regimehjb.model import (DefaultLossModel, MarketParams, RegimeControlProblem,
+                             merton_as_generic)
 
 ACCEPT = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
 NODES = np.linspace(0.0, 3.0, 61)
@@ -209,12 +210,6 @@ class TestSolveSystem:
         diffs = np.diff(surf.v_pre, axis=1)
         assert np.all(diffs <= 1e-12)
 
-    def test_utility_view_negates(self):
-        surf = solve_system(merton_problem(), small_grid(n_x=41, n_t=150))
-        j_pre, j_post = utility_view(surf)
-        np.testing.assert_array_equal(j_pre, -surf.v_pre)
-        np.testing.assert_array_equal(j_post, -surf.v_after)
-
     def test_discrete_residual_of_closed_form_injection(self):
         # inject v(t,x) = -x - f(t) into the discrete operator; the residual
         # (v[i] - v[i+1])/dt + min_u H must vanish first order in dt
@@ -237,3 +232,206 @@ class TestSolveSystem:
             residual[n_t] = worst
         assert residual[200] <= 1e-5
         assert residual[400] <= residual[200] / 1.5  # ~halves with dt
+
+
+class TestStepGuards:
+    def test_vol_spike_between_sampled_times_violates_cfl(self):
+        # a narrow vol spike at t = 0.25 is invisible at t in {0, T/2, T}
+        base = merton_problem()
+
+        def spiky(t, x, u):
+            return u * ACCEPT.sigma * (1.0 + 20.0 * np.exp(-((t - 0.25) / 0.01) ** 2))
+
+        prob = dataclasses.replace(base, vol_pre=spiky)
+        grid = small_grid()  # dt = 0.005, dx = 0.08; a step lands on t = 0.25
+        validate_grid_for(prob, grid, "pre")
+        with pytest.raises(CflViolationError) as exc:
+            solve_system(prob, grid)
+        # stepping backward from T, the first step time whose own max(vol^2)
+        # breaks the bound names the n_t
+        dt = grid.dt(prob.horizon)
+        for t in grid.times(prob.horizon)[::-1]:
+            sq = float(np.max(spiky(t, 0.0, NODES) ** 2))
+            if dt > grid.dx ** 2 / sq:
+                break
+        assert 0.25 < t < 0.3
+        expected = int(np.ceil(prob.horizon * sq / grid.dx ** 2))
+        assert exc.value.min_n_t == expected
+        assert f"t={t:.6g}" in str(exc.value) and str(expected) in str(exc.value)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("drift_pre", lambda t, x, u: np.where(t < 0.5, np.nan, 0.02 + 0.0 * u)),
+        ("vol_pre", lambda t, x, u: np.where(t < 0.5, np.nan, 0.2 * u)),
+        ("running_cost", lambda t, x, u: np.inf if t < 0.5 else 0.0),
+        ("drift_post", lambda t, x, u: np.where(t < 0.5, np.inf, 0.02)),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_coefficient_raises(self, field, bad):
+        prob = dataclasses.replace(merton_problem(), **{field: bad})
+        with pytest.raises(NumericalError):
+            solve_system(prob, small_grid())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_after_surface_raises(self):
+        prob = merton_problem()
+        grid = small_grid()
+        v_after = solve_after(prob, grid).copy()
+        v_after[100, 50] = np.inf
+        with pytest.raises(NumericalError):
+            solve_pre(prob, v_after, grid)
+
+    def test_guards_never_touch_the_coupling_at_zero_hazard(self):
+        p0 = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.0, horizon_T=1.0, w0=1.0)
+
+        def forbidden(t, x, u):
+            raise AssertionError("jump_map evaluated at zero hazard")
+
+        prob = dataclasses.replace(merton_problem(p0), jump_map=forbidden)
+        surf = solve_system(prob, small_grid())
+        assert np.isfinite(surf.v_pre).all()
+
+
+# --------------------------------------------------------------------------
+# bitwise equivalence with a straightforward reference solver: coefficients
+# broadcast to the full (state, control) mesh every step, np.interp for the
+# jump coupling
+# --------------------------------------------------------------------------
+
+def _ref_coeff(fn, t, x_col, u_row, shape):
+    return np.broadcast_to(np.asarray(fn(t, x_col, u_row), dtype=float), shape)
+
+
+def _ref_hamiltonian(problem, grid, t, v_row, drift_fn, vol_fn, v_after_row=None):
+    x = grid.x_nodes
+    x_col, u_row = x[:, None], grid.control_nodes[None, :]
+    shape = (grid.n_x, grid.control_nodes.size)
+    drift = _ref_coeff(drift_fn, t, x_col, u_row, shape)
+    vol = _ref_coeff(vol_fn, t, x_col, u_row, shape)
+    cost = _ref_coeff(problem.running_cost, t, x_col, u_row, shape)
+    dx = grid.dx
+    d_fwd, d_bwd = np.empty_like(v_row), np.empty_like(v_row)
+    d_fwd[:-1] = (v_row[1:] - v_row[:-1]) / dx
+    d_fwd[-1] = (v_row[-1] - v_row[-2]) / dx
+    d_bwd[1:] = (v_row[1:] - v_row[:-1]) / dx
+    d_bwd[0] = (v_row[1] - v_row[0]) / dx
+    d2 = np.zeros_like(v_row)
+    d2[1:-1] = (v_row[2:] - 2.0 * v_row[1:-1] + v_row[:-2]) / (dx * dx)
+    dv = np.where(drift >= 0.0, d_fwd[:, None], d_bwd[:, None])
+    ham = drift * dv + 0.5 * vol * vol * d2[:, None] + cost
+    if v_after_row is not None and problem.hazard > 0.0:
+        targets = _ref_coeff(problem.jump_map, t, x_col, u_row, shape)
+        coupled = np.interp(targets.ravel(), x, v_after_row).reshape(shape)
+        ham = ham + problem.hazard * (coupled - v_row[:, None])
+    return ham
+
+
+def _ref_solve(problem, grid):
+    dt = grid.dt(problem.horizon)
+    times = grid.times(problem.horizon)
+    nodes = grid.control_nodes
+    terminal = np.broadcast_to(np.asarray(problem.terminal_cost(grid.x_nodes), dtype=float),
+                               (grid.n_x,))
+    v_after = np.empty((grid.n_t + 1, grid.n_x))
+    v_after[-1] = terminal
+    for i in range(grid.n_t - 1, -1, -1):
+        ham = _ref_hamiltonian(problem, grid, times[i + 1], v_after[i + 1],
+                               problem.drift_post, problem.vol_post)
+        v_after[i] = v_after[i + 1] + dt * ham.min(axis=1)
+    v_pre = np.empty_like(v_after)
+    policy = np.empty_like(v_after)
+    v_pre[-1] = terminal
+    ham = _ref_hamiltonian(problem, grid, times[-1], v_pre[-1], problem.drift_pre,
+                           problem.vol_pre, v_after[-1])
+    policy[-1] = nodes[np.argmin(ham, axis=1)]
+    for i in range(grid.n_t - 1, -1, -1):
+        ham = _ref_hamiltonian(problem, grid, times[i + 1], v_pre[i + 1], problem.drift_pre,
+                               problem.vol_pre, v_after[i + 1])
+        v_pre[i] = v_pre[i + 1] + dt * ham.min(axis=1)
+        policy[i] = nodes[np.argmin(ham, axis=1)]
+    return v_pre, v_after, policy
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def generic_problem(jump_map):
+    """Time-dependent pre vol, a controlled post market, x- and u-dependent cost."""
+    def drift_pre(t, x, u):
+        s = 0.2 + 0.1 * t
+        return 0.02 + 0.01 * np.sin(x) + u * 0.06 - 0.5 * u * u * s * s
+
+    return RegimeControlProblem(
+        drift_pre=drift_pre,
+        vol_pre=lambda t, x, u: u * (0.2 + 0.1 * t),
+        drift_post=lambda t, x, u: 0.02 + u * 0.03 - 0.5 * u * u * 0.0625,
+        vol_post=lambda t, x, u: u * 0.25,
+        hazard=0.7,
+        jump_map=jump_map,
+        running_cost=lambda t, x, u: 0.01 * u * u * np.cos(x),
+        terminal_cost=lambda x: -x - 0.3 * np.tanh(x),
+        control_bounds=(-1.0, 2.0),
+        horizon=1.0,
+    )
+
+
+EQUIV_GRID = GridSpec(x_min=-1.0, x_max=1.0, n_x=41, n_t=160,
+                      control_nodes=np.linspace(-1.0, 2.0, 13))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("jump_map", [
+        # u = 0 lands on every node (both edges included), u < 0 clamps
+        # above x_max, u > 0 below x_min
+        lambda t, x, u: x - u,
+        # targets move with t: the stencil is rebuilt every step
+        lambda t, x, u: x - u * (1.0 + t),
+    ], ids=["static-targets", "moving-targets"])
+    def test_solve_system_is_bitwise_the_reference(self, jump_map):
+        prob = generic_problem(jump_map)
+        targets = jump_map(0.0, EQUIV_GRID.x_nodes[:, None], EQUIV_GRID.control_nodes[None, :])
+        x = EQUIV_GRID.x_nodes
+        assert (targets < x[0]).any() and (targets > x[-1]).any()
+        assert np.isin(targets, x).sum() >= x.size
+        surf = solve_system(prob, EQUIV_GRID)
+        v_pre, v_after, policy = _ref_solve(prob, EQUIV_GRID)
+        np.testing.assert_array_equal(_bits(surf.v_after), _bits(v_after))
+        np.testing.assert_array_equal(_bits(surf.v_pre), _bits(v_pre))
+        np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
+        assert len(np.unique(policy[0])) > 1  # the control choice is not trivial
+
+    @pytest.mark.parametrize("jump_map", [
+        lambda t, x, u: 0.25,
+        lambda t, x, u: 0.5 - u,
+    ], ids=["one-target", "control-only-targets"])
+    def test_state_independent_targets_are_bitwise_the_reference(self, jump_map):
+        prob = generic_problem(jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        v_pre, _, policy = _ref_solve(prob, EQUIV_GRID)
+        np.testing.assert_array_equal(_bits(surf.v_pre), _bits(v_pre))
+        np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
+
+    def test_public_hamiltonians_are_bitwise_the_reference(self):
+        prob = generic_problem(lambda t, x, u: x - u)
+        rng = np.random.default_rng(7)
+        v_row, v_after_row = rng.normal(size=(2, EQUIV_GRID.n_x))
+        shape = (EQUIV_GRID.n_x, EQUIV_GRID.control_nodes.size)
+        pre = pre_hamiltonian(prob, EQUIV_GRID, 0.3, v_row, v_after_row)
+        post = post_hamiltonian(prob, EQUIV_GRID, 0.3, v_row)
+        assert pre.shape == post.shape == shape
+        np.testing.assert_array_equal(
+            _bits(pre), _bits(_ref_hamiltonian(prob, EQUIV_GRID, 0.3, v_row, prob.drift_pre,
+                                               prob.vol_pre, v_after_row)))
+        np.testing.assert_array_equal(
+            _bits(post), _bits(_ref_hamiltonian(prob, EQUIV_GRID, 0.3, v_row,
+                                                prob.drift_post, prob.vol_post)))
+
+    def test_merton_post_regime_keeps_the_full_mesh_result(self):
+        # the post regime's coefficients are scalars; the public result is
+        # still one column per control
+        prob = merton_problem()
+        grid = small_grid(n_x=41, n_t=150)
+        ham = post_hamiltonian(prob, grid, 0.5, -grid.x_nodes)
+        assert ham.shape == (41, NODES.size)
+        np.testing.assert_array_equal(ham, np.broadcast_to(ham[:, :1], ham.shape))
+        np.testing.assert_allclose(ham, -ACCEPT.r, rtol=1e-12)
