@@ -4,7 +4,9 @@ Reads a strict JSON problem configuration, dispatches to the analytic,
 ODE, finite-difference and Monte Carlo engines, and writes machine-readable
 reports: JSON for summaries, CSV for tables. Every report embeds the fully
 resolved configuration so a run can be reproduced bit-for-bit from its own
-output. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration error.
+output. verify calls the same per-route helpers as the single-route
+commands. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration
+error, 3 numerical error (a non-finite quantity met during a solve).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .closedform import (FCoefficientVariant, expected_log_utility_exact,
                          f_closed_form, j_after, optimal_weight)
-from .hjb import CflViolationError, GridSpec, solve_system
+from .hjb import GridSpec, NumericalError, solve_system
 from .model import (DEFAULT_CONTROL_BOUNDS, DefaultLossModel, MarketParams,
                     merton_as_generic)
 from .montecarlo import McConfig, estimate, sweep
@@ -29,6 +31,7 @@ from .odesolve import OdeConfig, solve_f_backward
 EXIT_OK = 0
 EXIT_GATE_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
 # pinned verification tolerances (see the acceptance suite)
 TOL_ODE_VS_CLOSED = 1e-10
@@ -309,47 +312,46 @@ def cmd_closed_form(cfg: dict) -> dict:
     }
 
 
-def cmd_ode_check(cfg: dict) -> dict:
-    params = build_market(cfg)
-    variant = build_variant(cfg)
+def _ode_route(cfg: dict, params: MarketParams, variant: FCoefficientVariant):
+    """RK4 curve of f, the closed form on its times, and their agreement gate."""
     curve = solve_f_backward(params, variant, build_ode(cfg))
     closed = f_closed_form(params, curve.times, variant)
     deviation = float(np.max(np.abs(curve.values - closed)))
+    return curve, closed, _gate("ode_vs_closed", deviation, TOL_ODE_VS_CLOSED)
+
+
+def cmd_ode_check(cfg: dict) -> dict:
+    params = build_market(cfg)
+    variant = build_variant(cfg)
+    curve, closed, gate = _ode_route(cfg, params, variant)
     return {
         "config": cfg,
         "variant": variant.value,
         "f0_rk4": float(curve.values[0]),
         "f0_closed": float(closed[0]),
-        "gates": [_gate("ode_vs_closed", deviation, TOL_ODE_VS_CLOSED)],
+        "gates": [gate],
     }
 
 
-def _solve_merton_surface(cfg: dict):
-    params = build_market(cfg)
-    loss = build_loss(cfg)
+def _hjb_route(cfg: dict, params: MarketParams, loss: DefaultLossModel):
+    """Grid solve summarized at the node nearest x0 = log w0, plus the t = 0
+    offsets -v_pre - x (each node's estimate of f(0)) on the interior window."""
     problem = merton_as_generic(params, loss, tuple(cfg["control_bounds"]))
     grid = build_grid(cfg)
     surface = solve_system(problem, grid)
-    return params, loss, grid, surface
-
-
-def _hjb_f0_and_policy(cfg: dict, grid, surface, params):
     x = grid.x_nodes
     j0 = int(np.argmin(np.abs(x - math.log(params.w0))))
-    f0_hjb = float(-surface.v_pre[0, j0] - x[j0])
-    return f0_hjb, float(surface.policy[0, j0]), float(x[j0])
+    summary = {"f0_hjb": float(-surface.v_pre[0, j0] - x[j0]), "x0": float(x[j0]),
+               "policy_at_x0": float(surface.policy[0, j0])}
+    mask = interior_nodes_mask(grid, loss, grid.control_nodes)
+    return summary, -surface.v_pre[0, mask] - x[mask]
 
 
 def cmd_hjb_solve(cfg: dict) -> dict:
-    params, loss, grid, surface = _solve_merton_surface(cfg)
-    f0_hjb, policy_at_x0, x0 = _hjb_f0_and_policy(cfg, grid, surface, params)
-    mask = interior_nodes_mask(grid, loss, grid.control_nodes)
-    offsets = -surface.v_pre[0, mask] - grid.x_nodes[mask]
+    summary, offsets = _hjb_route(cfg, build_market(cfg), build_loss(cfg))
     return {
         "config": cfg,
-        "f0_hjb": f0_hjb,
-        "x0": x0,
-        "policy_at_x0": policy_at_x0,
+        **summary,
         "interior_offset_spread": float(np.max(offsets) - np.min(offsets)),
     }
 
@@ -421,22 +423,13 @@ def cmd_verify(cfg: dict) -> dict:
     loss = build_loss(cfg)
     variant = build_variant(cfg)
     pi_star = optimal_weight(params)
-    log_w0 = math.log(params.w0)
 
+    # the scalar form: the array form on the RK4 times uses np.expm1, which
+    # can differ in the last bit
     f0_closed = f_closed_form(params, 0.0, variant)
-
-    curve = solve_f_backward(params, variant, build_ode(cfg))
-    closed_on_grid = f_closed_form(params, curve.times, variant)
-    ode_dev = float(np.max(np.abs(curve.values - closed_on_grid)))
-
-    _, _, grid, surface = _solve_merton_surface(cfg)
-    f0_hjb, _, _ = _hjb_f0_and_policy(cfg, grid, surface, params)
-    mask = interior_nodes_mask(grid, loss, grid.control_nodes)
-    hjb_dev = float(np.max(np.abs(-surface.v_pre[0, mask] - grid.x_nodes[mask]
-                                  - f0_closed)))
-
+    curve, _, ode_gate = _ode_route(cfg, params, variant)
+    hjb, offsets = _hjb_route(cfg, params, loss)
     value_exact = expected_log_utility_exact(params, pi_star, loss)
-    exact_dev = abs(f0_closed - (value_exact - log_w0))
 
     lo, hi = cfg["control_bounds"]
     argmax_grid = np.arange(lo, hi + 0.5 * ARGMAX_GRID_STEP, ARGMAX_GRID_STEP)
@@ -444,14 +437,14 @@ def cmd_verify(cfg: dict) -> dict:
     argmax_dev = abs(float(argmax_grid[int(np.argmax(oracle_vals))]) - pi_star)
 
     est = estimate(params, pi_star, loss, build_mc(cfg))
-    mc_dev = abs(est.mean - value_exact)
 
+    exact_dev = abs(f0_closed - (value_exact - math.log(params.w0)))
     gates = [
         _gate("oracle_argmax", argmax_dev, ARGMAX_GRID_STEP + 1e-12),
-        _gate("ode_vs_closed", ode_dev, TOL_ODE_VS_CLOSED),
-        _gate("hjb_vs_closed", hjb_dev, TOL_HJB_VS_CLOSED),
+        ode_gate,
+        _gate("hjb_vs_closed", np.max(np.abs(offsets - f0_closed)), TOL_HJB_VS_CLOSED),
         _gate("exact_oracle_vs_closed", exact_dev, TOL_EXACT_VS_CLOSED),
-        _gate("mc_vs_exact", mc_dev, 3.0 * est.std_error),
+        _gate("mc_vs_exact", abs(est.mean - value_exact), 3.0 * est.std_error),
     ]
     return {
         "config": cfg,
@@ -460,7 +453,7 @@ def cmd_verify(cfg: dict) -> dict:
         "pi_star": pi_star,
         "f0_closed": f0_closed,
         "f0_rk4": float(curve.values[0]),
-        "f0_hjb": f0_hjb,
+        "f0_hjb": hjb["f0_hjb"],
         "value_exact": value_exact,
         "value_mc": est.mean,
         "mc_stderr": est.std_error,
@@ -517,12 +510,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed,
                           variant_override=args.variant)
         report = _COMMANDS[args.command](cfg)
-    except (ConfigError, CflViolationError) as exc:
+    except (ConfigError, ValueError) as exc:   # CflViolationError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     if args.command == "sweep":
         out = args.out or cfg["output_path"]

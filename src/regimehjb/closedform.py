@@ -18,10 +18,6 @@ import numpy as np
 
 from .model import DefaultLossModel, MarketParams
 
-# Below this hazard the exact f(t) is replaced by its h -> 0 limit to avoid
-# catastrophic cancellation in (1 - exp(-h s)) / h.
-H_ZERO_THRESHOLD = 1e-10
-
 
 class FCoefficientVariant(Enum):
     """Two forms of the constant K in the f(t) equation.
@@ -80,14 +76,15 @@ def f_closed_form(params: MarketParams, t,
                   variant: FCoefficientVariant = FCoefficientVariant.DERIVED):
     """Explicit solution of the f(t) terminal-value equation.
 
-    For h above the zero threshold:
+    For h > 0:
 
         f(t) = r (T - t) + (K / h) * (1 - exp(-h (T - t))),
 
-    and the h -> 0 limit (K + r) (T - t) below it. f(T) = 0 exactly in
-    both branches. Accepts scalar t (returns a float) or an array of times;
-    the array path uses np.expm1, which can differ from the scalar
-    math.expm1 in the last bit.
+    computed with expm1, which stays accurate as h -> 0. The limit
+    (K + r) (T - t) is used only where that is not finite: h = 0, or K / h
+    overflows. f(T) = 0 exactly in both branches. Accepts scalar t
+    (returns a float) or an array of times; the array path uses np.expm1,
+    which can differ from the scalar math.expm1 in the last bit.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t_arr) & (t_arr <= params.horizon_T)):
@@ -96,7 +93,8 @@ def f_closed_form(params: MarketParams, t,
     scalar = t_arr.ndim == 0
     s = params.horizon_T - (float(t_arr) if scalar else t_arr)
     h = params.h
-    if h <= H_ZERO_THRESHOLD:
+    # K / h finite bounds the exact form by r s + K s, so it is finite too
+    if h == 0.0 or not math.isfinite(k / h):
         return (k + params.r) * s
     expm1 = math.expm1 if scalar else np.expm1
     return params.r * s + (k / h) * (-expm1(-h * s))
@@ -120,7 +118,9 @@ def expected_log_utility_exact(params: MarketParams, pi,
             + int_0^T h exp(-h tau) (alpha tau + L + r (T - tau)) dtau,
 
     which collapses to  log w0 + r T + (1 - exp(-h T)) ((alpha - r)/h + L).
-    h = 0 returns log w0 + alpha T. Accepts scalar or array pi.
+    h = 0 returns log w0 + alpha T. Where (alpha - r)/h overflows, h is so
+    small that the h -> 0 limit log w0 + alpha T + (1 - exp(-h T)) L is exact
+    to rounding. Accepts scalar or array pi.
     """
     pi_arr = np.asarray(pi, dtype=float)
     drop = loss.log_wealth_drop(pi_arr)
@@ -131,5 +131,8 @@ def expected_log_utility_exact(params: MarketParams, pi,
         out = log_w0 + alpha * T
     else:
         weight = -math.expm1(-params.h * T)
-        out = log_w0 + params.r * T + weight * ((alpha - params.r) / params.h + drop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = (alpha - params.r) / params.h
+            exact = log_w0 + params.r * T + weight * (ratio + drop)
+        out = np.where(np.isfinite(ratio), exact, log_w0 + alpha * T + weight * drop)
     return float(out) if out.ndim == 0 else out

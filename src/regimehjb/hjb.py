@@ -404,10 +404,8 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
 def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     """Post-switch solve followed by the coupled pre-switch solve.
 
-    Both regimes are validated once, before any stepping.
+    Each regime is validated once, just before its own stepping.
     """
-    validate_grid_for(problem, grid, "post")
-    validate_grid_for(problem, grid, "pre")
-    v_after, _ = _march(problem, grid, "post")
-    v_pre, policy = _march(problem, grid, "pre", v_after)
+    v_after = solve_after(problem, grid)
+    v_pre, policy = solve_pre(problem, v_after, grid)
     return ValueSurface(v_pre=v_pre, v_after=v_after, policy=policy, grid=grid)

@@ -138,11 +138,9 @@ def _summarize(vals: np.ndarray, cfg: McConfig) -> McEstimate:
 
 def estimate(params: MarketParams, pi: float, loss: DefaultLossModel,
              cfg: McConfig) -> McEstimate:
-    """Monte Carlo estimate of expected terminal log wealth for one policy."""
-    u, z = _draw_streams(cfg)
-    tau = sample_default_time(params.h, u)
-    vals = simulate_terminal_log_wealth(params, pi, loss, z, tau)
-    return _summarize(vals, cfg)
+    """Monte Carlo estimate of expected terminal log wealth for one policy
+    (a one-point sweep: the same draws and arithmetic as every sweep point)."""
+    return sweep(params, loss, [pi], cfg)[0][0][1]
 
 
 def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,

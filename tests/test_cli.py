@@ -191,9 +191,43 @@ class TestCommandLine:
         cfg = base_config()
         cfg["grid"] = {"n_x": 801, "n_t": 100}
         path = write_config(tmp_path, cfg)
-        assert cli.main(["hjb-solve", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "CFL" in err and "n_t" in err
+        for command in ("hjb-solve", "verify"):
+            assert cli.main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert "CFL" in err and "n_t" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_error_has_its_own_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["market"]["sigma"] = 1e200     # vol^2 overflows to inf
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["hjb-solve", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: ") and "not finite" in captured.err
+
+    @pytest.mark.parametrize("over", [
+        {"variant": "derived"},
+        {"variant": "paper"},
+        {"loss_mode": "linear", "control_bounds": [0.0, 0.9]},
+    ])
+    def test_verify_agrees_bitwise_with_single_route_commands(self, over):
+        raw = base_config(**over)
+        if "loss_mode" in over:
+            raw["market"]["mu"] = 0.06     # pi* = 0.5, inside the linear-loss bounds
+        cfg = cli.resolve_config(raw)
+        verify = cli.cmd_verify(cfg)
+        ode = cli.cmd_ode_check(cfg)
+        hjb = cli.cmd_hjb_solve(cfg)
+        mc = cli.cmd_mc_estimate(cfg)
+        assert cfg["pi"] is None and mc["pi"] == verify["pi_star"]
+        assert verify["f0_rk4"] == ode["f0_rk4"]
+        gates = {g["name"]: g for g in verify["gates"]}
+        assert gates["ode_vs_closed"] == ode["gates"][0]
+        assert verify["f0_hjb"] == hjb["f0_hjb"]
+        assert verify["value_exact"] == mc["exact_value"]
+        assert verify["value_mc"] == mc["mc_mean"]
+        assert verify["mc_stderr"] == mc["mc_stderr"]
 
     def test_mc_estimate_defaults_to_optimal_weight(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,8 +116,12 @@ class TestFClosedForm:
         assert f_closed_form(p, 0.0, DERIVED) == pytest.approx(0.065, abs=1e-15)
 
     def test_matches_exact_oracle_at_optimum(self):
-        # the closed form must reproduce the exact-integral value of pi*
-        for p in random_param_sets(10, seed=13, h_floor=1e-4):
+        # the closed form must reproduce the exact-integral value of pi*, also
+        # at hazards where K/h or (alpha - r)/h overflows (1e-310) or nearly so
+        markets = random_param_sets(10, seed=13, h_floor=1e-4)
+        markets += [dataclasses.replace(p, h=h) for p in (ACCEPT, *markets[:2])
+                    for h in (1e-310, 1e-12, 5e-11, 1e-10)]
+        for p in markets:
             lhs = f_closed_form(p, 0.0, DERIVED)
             rhs = expected_log_utility_exact(p, optimal_weight(p), EXP) - math.log(p.w0)
             assert abs(lhs - rhs) <= 1e-12
@@ -160,7 +165,7 @@ class TestFClosedForm:
             f_closed_form(ACCEPT, np.array([0.0, np.nan]))
 
     @pytest.mark.parametrize("variant", [DERIVED, PAPER])
-    @pytest.mark.parametrize("h", [0.0, 1e-11, 0.02, 0.6])
+    @pytest.mark.parametrize("h", [0.0, 1e-310, 1e-11, 0.02, 0.6])
     def test_array_times_match_scalar_calls(self, variant, h):
         p = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         ts = np.linspace(0.0, p.horizon_T, 10_001)
@@ -225,7 +230,12 @@ class TestExpectedLogUtilityExact:
             expected_log_utility_exact(p0, 1.2, LIN)
 
     def test_vectorized_over_pi(self):
-        grid = np.array([0.0, 0.5, 1.0])
-        vals = expected_log_utility_exact(ACCEPT, grid, EXP)
-        singles = [expected_log_utility_exact(ACCEPT, float(pi), EXP) for pi in grid]
-        np.testing.assert_allclose(vals, singles, rtol=0, atol=0)
+        # at h = 1e-310, (alpha - r)/h overflows for pi = 0.5 and 1 but not
+        # for pi = 0 and 0.1: both kinds in one array
+        grid = np.array([0.0, 0.1, 0.5, 1.0])
+        for p in (ACCEPT, dataclasses.replace(ACCEPT, h=1e-310)):
+            vals = expected_log_utility_exact(p, grid, EXP)
+            singles = [expected_log_utility_exact(p, float(pi), EXP) for pi in grid]
+            np.testing.assert_allclose(vals, singles, rtol=0, atol=0)
+        no_hazard = expected_log_utility_exact(dataclasses.replace(ACCEPT, h=0.0), grid, EXP)
+        np.testing.assert_allclose(vals, no_hazard, rtol=0, atol=1e-15)
