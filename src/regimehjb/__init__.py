@@ -14,7 +14,6 @@ from .closedform import (
 from .hjb import (
     CflViolationError,
     GridSpec,
-    NumericalError,
     ValueSurface,
     solve_system,
 )
@@ -22,6 +21,7 @@ from .model import (
     DefaultLossModel,
     FCurve,
     MarketParams,
+    NumericalError,
     RegimeControlProblem,
     merton_as_generic,
 )

@@ -22,9 +22,9 @@ import numpy as np
 
 from .closedform import (FCoefficientVariant, expected_log_utility_exact,
                          f_closed_form, j_after, optimal_weight)
-from .hjb import GridSpec, NumericalError, solve_system
+from .hjb import GridSpec, solve_system
 from .model import (DEFAULT_CONTROL_BOUNDS, DefaultLossModel, MarketParams,
-                    merton_as_generic)
+                    NumericalError, merton_as_generic)
 from .montecarlo import McConfig, estimate, sweep
 from .odesolve import OdeConfig, solve_f_backward
 

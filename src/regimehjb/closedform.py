@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import DefaultLossModel, MarketParams
+from .model import DefaultLossModel, MarketParams, NumericalError
 
 
 class FCoefficientVariant(Enum):
@@ -103,7 +103,11 @@ def f_closed_form(params: MarketParams, t,
 def policy_log_drift(params: MarketParams, pi) -> float:
     """Log-wealth drift r + pi (mu - r) - pi^2 sigma^2 / 2 of a constant policy."""
     pi = np.asarray(pi, dtype=float)
-    out = params.r + pi * (params.mu - params.r) - 0.5 * pi * pi * params.sigma ** 2
+    try:
+        sig2 = params.sigma ** 2
+    except OverflowError:
+        raise NumericalError(f"sigma**2 is not finite at sigma={params.sigma!r}") from None
+    out = params.r + pi * (params.mu - params.r) - 0.5 * pi * pi * sig2
     return float(out) if out.ndim == 0 else out
 
 

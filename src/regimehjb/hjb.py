@@ -30,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import RegimeControlProblem
+from .model import NumericalError, RegimeControlProblem
 
 # hazard * dt above this triggers a warning: the scheme drops the
 # O((h dt)^2) correction of the switch probability over one step
@@ -43,10 +43,6 @@ class CflViolationError(ValueError):
     def __init__(self, message: str, min_n_t: int):
         super().__init__(message)
         self.min_n_t = min_n_t
-
-
-class NumericalError(RuntimeError):
-    """Non-finite quantity encountered during a solve."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ from typing import Callable, Tuple
 import numpy as np
 
 
+class NumericalError(RuntimeError):
+    """Non-finite quantity encountered during a solve."""
+
+
 class DefaultLossModel(Enum):
     """How wealth is marked down when the default event hits.
 

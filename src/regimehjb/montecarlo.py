@@ -7,6 +7,15 @@ apply the default markdown and riskless growth for the remainder. Paths
 are driven by the counter-based Philox generator so that path i's draws
 are a pure function of (seed, stream, i): re-runs are bit-identical and
 results do not depend on evaluation order.
+
+A sweep builds one per-path table from the draws: surviving paths enter
+a policy only through z, and the paths that default before T are kept
+with their default time, its square root, their z and their riskless
+growth. Each policy then maps the table into one reused buffer, which the
+summary also uses as its deviation scratch. The values, means and
+standard errors are bitwise those of evaluating the terminal-law formula
+per policy and reducing with np.mean and np.std(ddof=1). A mean or
+standard error that is not finite raises NumericalError.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .closedform import policy_log_drift
-from .model import DefaultLossModel, MarketParams
+from .model import DefaultLossModel, MarketParams, NumericalError
 
 # stream tags mixed into the 128-bit Philox key; default times and
 # diffusion draws come from independent streams
@@ -71,7 +80,9 @@ def sample_default_time(h: float, u):
     if h == 0.0:
         out = np.full_like(u_arr, np.inf)
     else:
-        out = -np.log(u_arr) / h
+        # a subnormal h overflows the quotient to +inf, the exact answer
+        with np.errstate(over="ignore"):
+            out = -np.log(u_arr) / h
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,26 +95,47 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
         tau >= T:  log w0 + alpha T + pi sigma sqrt(T) z
         tau <  T:  log w0 + alpha tau + pi sigma sqrt(tau) z + L + r (T - tau)
     """
-    drop = loss.log_wealth_drop(pi)
-    alpha = policy_log_drift(params, pi)
     z_arr, tau_arr = np.broadcast_arrays(np.asarray(z, dtype=float),
                                          np.asarray(tau, dtype=float))
     if np.any(np.isnan(tau_arr)) or np.any(tau_arr < 0.0):
         raise ValueError("tau must be a non-negative time or +inf")
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    tau_arr = np.atleast_1d(tau_arr)
+    table = _PathTable(params, np.ravel(z_arr), np.ravel(tau_arr))
+    out = table.terminal_log_wealth(params, pi, loss, np.empty(table.z.size))
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
-    T = params.horizon_T
-    log_w0 = math.log(params.w0)
-    scale = pi * params.sigma
-    out = np.empty(z_arr.shape)
-    hit = tau_arr < T
-    out[~hit] = log_w0 + alpha * T + scale * math.sqrt(T) * z_arr[~hit]
-    td = tau_arr[hit]
-    out[hit] = (log_w0 + alpha * td + scale * np.sqrt(td) * z_arr[hit]
-                + drop + params.r * (T - td))
-    return float(out[0]) if scalar else out
+
+class _PathTable:
+    """Per-path quantities of the terminal law that no policy changes.
+
+    A path that survives to T enters only through its normal draw z. The
+    paths that default before T are kept as indices, with their default
+    time, its square root, their z and their riskless growth r (T - tau).
+    """
+
+    def __init__(self, params: MarketParams, z: np.ndarray, tau: np.ndarray):
+        T = params.horizon_T
+        self.z = z
+        self.hit = np.flatnonzero(tau < T)
+        self.tau_hit = tau[self.hit]
+        self.sqrt_tau_hit = np.sqrt(self.tau_hit)
+        self.z_hit = z[self.hit]
+        self.growth = params.r * (T - self.tau_hit)
+
+    def terminal_log_wealth(self, params: MarketParams, pi: float,
+                            loss: DefaultLossModel, out: np.ndarray) -> np.ndarray:
+        """Write every path's terminal log wealth under policy pi into out,
+        with the association of the formula in simulate_terminal_log_wealth."""
+        drop = loss.log_wealth_drop(pi)
+        alpha = policy_log_drift(params, pi)
+        T = params.horizon_T
+        log_w0 = math.log(params.w0)
+        scale = pi * params.sigma
+        # every path as if it survived to T, then the defaulted ones
+        np.multiply(self.z, scale * math.sqrt(T), out=out)
+        np.add(out, log_w0 + alpha * T, out=out)
+        out[self.hit] = (log_w0 + alpha * self.tau_hit + scale * self.sqrt_tau_hit * self.z_hit
+                         + drop + self.growth)
+        return out
 
 
 def _draw_streams(cfg: McConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,11 +160,22 @@ def _draw_streams(cfg: McConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _summarize(vals: np.ndarray, cfg: McConfig) -> McEstimate:
+    """np.mean(vals) and np.std(units, ddof=1) / sqrt(units.size), bit for bit,
+    with vals itself as the deviation scratch (its contents are lost)."""
+    mean = np.add.reduce(vals) / vals.size
     # antithetic pairs are correlated by construction; the independent
     # statistical unit is the pair average
-    units = 0.5 * (vals[0::2] + vals[1::2]) if cfg.antithetic else vals
-    se = float(np.std(units, ddof=1) / math.sqrt(units.size))
-    return McEstimate(mean=float(np.mean(vals)), std_error=se,
+    if cfg.antithetic:
+        units = vals[:vals.size // 2]
+        np.add(vals[0::2], vals[1::2], out=units)
+        np.multiply(units, 0.5, out=units)
+        units_mean = np.add.reduce(units) / units.size
+    else:
+        units, units_mean = vals, mean
+    np.subtract(units, units_mean, out=units)
+    np.square(units, out=units)
+    std = np.sqrt(np.add.reduce(units) / (units.size - 1))
+    return McEstimate(mean=float(mean), std_error=float(std / math.sqrt(units.size)),
                       n_paths=cfg.n_paths, seed=cfg.seed)
 
 
@@ -158,12 +201,19 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
         raise ValueError("pi_grid must be strictly ascending")
 
     u, z = _draw_streams(cfg)
-    tau = sample_default_time(params.h, u)
+    table = _PathTable(params, z, sample_default_time(params.h, u))
+    del u
+    vals = np.empty(cfg.n_paths)
     points: List[Tuple[float, McEstimate]] = []
     means = np.empty(pi_arr.size)
-    for idx, pi in enumerate(pi_arr):
-        vals = simulate_terminal_log_wealth(params, float(pi), loss, z, tau)
-        est = _summarize(vals, cfg)
-        points.append((float(pi), est))
-        means[idx] = est.mean
+    # a non-finite intermediate leaves a non-finite mean or std, which raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for idx, pi in enumerate(pi_arr):
+            table.terminal_log_wealth(params, float(pi), loss, vals)
+            est = _summarize(vals, cfg)
+            if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+                raise NumericalError(f"the Monte Carlo estimate at pi={float(pi)!r} "
+                                     "is not finite")
+            points.append((float(pi), est))
+            means[idx] = est.mean
     return points, int(np.argmax(means))

@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,31 @@ class TestCommandLine:
         assert verify["value_exact"] == mc["exact_value"]
         assert verify["value_mc"] == mc["mc_mean"]
         assert verify["mc_stderr"] == mc["mc_stderr"]
+
+    @pytest.mark.parametrize("command", ["mc-estimate", "sweep"])
+    def test_overflowing_sigma_is_a_numerical_error(self, tmp_path, capsys, command):
+        cfg = base_config()
+        cfg["market"]["sigma"] = 1e200     # sigma**2 overflows a float
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("numerical error: ") and "sigma" in captured.err
+
+    @pytest.mark.parametrize("command", ["mc-estimate", "sweep"])
+    def test_subnormal_hazard_runs_without_warnings(self, tmp_path, command):
+        cfg = base_config()
+        cfg["market"]["h"] = 1e-310        # -log(u) / h overflows to tau = inf
+        path = write_config(tmp_path, cfg)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "regimehjb.cli",
+             command, "--config", path, "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, check=False)
+        assert (run.returncode, run.stderr) == (0, "")
 
     def test_mc_estimate_defaults_to_optimal_weight(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from regimehjb.closedform import expected_log_utility_exact, optimal_weight
-from regimehjb.model import DefaultLossModel, MarketParams
-from regimehjb.montecarlo import (McConfig, McEstimate, estimate,
+from regimehjb.closedform import (expected_log_utility_exact, optimal_weight,
+                                  policy_log_drift)
+from regimehjb.model import DefaultLossModel, MarketParams, NumericalError
+from regimehjb.montecarlo import (McConfig, McEstimate, _draw_streams, estimate,
                                   sample_default_time,
                                   simulate_terminal_log_wealth, sweep)
 
@@ -52,6 +56,12 @@ class TestSampleDefaultTime:
         p = -math.expm1(-h)  # 0.019801...
         stderr = math.sqrt(p * (1 - p) / u.size)
         assert abs(p_hat - p) <= 3 * stderr
+
+    def test_subnormal_hazard_draws_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tau = sample_default_time(1e-310, np.array([0.5, 1.0 - 1e-16]))
+        assert tau[0] == math.inf and math.isfinite(tau[1])
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_out_of_range_uniforms(self, u):
@@ -164,3 +174,181 @@ class TestSweep:
             locations.append(pts[idx][0])
         spread = max(locations) - min(locations)
         assert spread <= 0.05 + 1e-12  # argmax moves at most one grid step
+
+
+# --------------------------------------------------------------------------
+# bitwise reference: the per-policy terminal map and summary that the shared
+# path table replaced, kept here verbatim
+# --------------------------------------------------------------------------
+
+def _reference_terminal(params, pi, loss, z, tau):
+    drop = loss.log_wealth_drop(pi)
+    alpha = policy_log_drift(params, pi)
+    z_arr, tau_arr = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                         np.asarray(tau, dtype=float))
+    scalar = z_arr.ndim == 0
+    z_arr = np.atleast_1d(z_arr)
+    tau_arr = np.atleast_1d(tau_arr)
+    T = params.horizon_T
+    log_w0 = math.log(params.w0)
+    scale = pi * params.sigma
+    out = np.empty(z_arr.shape)
+    hit = tau_arr < T
+    out[~hit] = log_w0 + alpha * T + scale * math.sqrt(T) * z_arr[~hit]
+    td = tau_arr[hit]
+    out[hit] = (log_w0 + alpha * td + scale * np.sqrt(td) * z_arr[hit]
+                + drop + params.r * (T - td))
+    return float(out[0]) if scalar else out
+
+
+def _reference_summarize(vals, cfg):
+    units = 0.5 * (vals[0::2] + vals[1::2]) if cfg.antithetic else vals
+    se = float(np.std(units, ddof=1) / math.sqrt(units.size))
+    return McEstimate(mean=float(np.mean(vals)), std_error=se,
+                      n_paths=cfg.n_paths, seed=cfg.seed)
+
+
+def _reference_sweep(params, loss, pi_grid, cfg):
+    u, z = _draw_streams(cfg)
+    tau = sample_default_time(params.h, u)
+    points = [(float(pi), _reference_summarize(
+        _reference_terminal(params, float(pi), loss, z, tau), cfg)) for pi in pi_grid]
+    return points, int(np.argmax([est.mean for _, est in points]))
+
+
+def _assert_bitwise_sweep(params, loss, pi_grid, cfg):
+    got_points, got_idx = sweep(params, loss, pi_grid, cfg)
+    ref_points, ref_idx = _reference_sweep(params, loss, pi_grid, cfg)
+    assert got_idx == ref_idx
+    for (got_pi, got), (ref_pi, ref) in zip(got_points, ref_points, strict=True):
+        # McEstimate equality compares floats with ==; also pin the bits
+        assert got_pi == ref_pi and got == ref
+        assert np.float64(got.mean).tobytes() == np.float64(ref.mean).tobytes()
+        assert (np.float64(got.std_error).tobytes()
+                == np.float64(ref.std_error).tobytes())
+
+
+GRIDS = {EXP: [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0],
+         LIN: [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]}
+
+# (n_paths, antithetic): tiny, odd, large, and around numpy's ufunc buffer
+# of 8192 elements
+UFUNC_BUFFER = 8192
+PATH_CASES = [(2, False), (7, False), (100_001, False), (200_000, False),
+              (200_000, True), (UFUNC_BUFFER - 1, False), (UFUNC_BUFFER, False),
+              (UFUNC_BUFFER, True), (UFUNC_BUFFER + 1, False)]
+
+
+class TestSweepReferenceEquivalence:
+    @pytest.mark.parametrize("loss", [EXP, LIN], ids=["exp", "lin"])
+    @pytest.mark.parametrize("w0,horizon", [(1.0, 1.0), (2.5, 2.0)])
+    @pytest.mark.parametrize("h", [0.0, 1e-310, 0.02, 5.0])
+    def test_sweep_is_bitwise_the_per_policy_reference(self, h, w0, horizon, loss):
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h,
+                              horizon_T=horizon, w0=w0)
+        for seed, (n_paths, antithetic) in enumerate(PATH_CASES):
+            cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+            _assert_bitwise_sweep(params, loss, GRIDS[loss], cfg)
+
+    @pytest.mark.parametrize("loss", [EXP, LIN], ids=["exp", "lin"])
+    def test_wrapper_is_bitwise_the_reference_on_any_shape(self, loss):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        z = rng.standard_normal((3, UFUNC_BUFFER + 5))
+        tau = np.where(rng.random((3, 1)) < 0.5, 0.25, np.inf)  # broadcasts
+        tau[0, 0] = ACCEPT.horizon_T                              # tau == T
+        got = simulate_terminal_log_wealth(ACCEPT, 0.5, loss, z, tau)
+        assert got.shape == z.shape
+        assert got.tobytes() == _reference_terminal(ACCEPT, 0.5, loss, z, tau).tobytes()
+        for zi, ti in [(1.3, 0.0), (-0.7, 0.5), (0.2, math.inf), (0.0, 1.0)]:
+            got = simulate_terminal_log_wealth(ACCEPT, 0.5, loss, zi, ti)
+            assert isinstance(got, float)
+            assert got == _reference_terminal(ACCEPT, 0.5, loss, zi, ti)
+
+    def test_wrapper_leaves_its_inputs_alone(self):
+        z = np.array([0.5, -1.0])
+        tau = np.array([3.0, 0.5])
+        simulate_terminal_log_wealth(ACCEPT, 1.0, EXP, z, tau)
+        assert z.tolist() == [0.5, -1.0] and tau.tolist() == [3.0, 0.5]
+
+
+class TestNonFiniteEstimates:
+    def test_overflowing_sigma_squared_is_a_numerical_error(self):
+        params = MarketParams(mu=0.08, sigma=1e200, r=0.02, h=0.02,
+                              horizon_T=1.0, w0=1.0)
+        with pytest.raises(NumericalError, match="sigma"):
+            sweep(params, EXP, [0.0, 1.0], McConfig(n_paths=100, seed=0))
+
+    def test_non_finite_sweep_point_is_a_numerical_error(self):
+        # sigma^2 is finite, but the policy drift and the spread are not
+        params = MarketParams(mu=0.08, sigma=1e154, r=0.02, h=0.02,
+                              horizon_T=1.0, w0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="pi=3.0"):
+                sweep(params, EXP, [0.0, 3.0], McConfig(n_paths=100, seed=0))
+
+    def test_single_antithetic_pair_has_no_standard_error(self):
+        with pytest.raises(NumericalError):
+            estimate(ACCEPT, 1.0, EXP, McConfig(n_paths=2, seed=0, antithetic=True))
+
+
+# --------------------------------------------------------------------------
+# properties over random admissible markets (derandomized, see conftest.py)
+# --------------------------------------------------------------------------
+
+markets = st.builds(
+    MarketParams,
+    mu=st.floats(-0.2, 0.4),
+    sigma=st.floats(0.05, 1.0),
+    r=st.floats(0.0, 0.1),
+    h=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+    horizon_T=st.floats(0.1, 5.0),
+    w0=st.floats(0.1, 10.0),
+)
+losses = st.sampled_from([EXP, LIN])
+
+
+@st.composite
+def interior_optimum_markets(draw):
+    """Markets whose optimal weight lies inside the control bounds [0, 3]:
+    mu is solved from a drawn pi* = (mu - r - h) / sigma^2."""
+    params = draw(markets)
+    pi_star = draw(st.floats(0.01, 2.99))
+    mu = params.r + params.h + pi_star * params.sigma ** 2
+    return MarketParams(mu=mu, sigma=params.sigma, r=params.r, h=params.h,
+                        horizon_T=params.horizon_T, w0=params.w0)
+
+
+def _policy(loss, frac):
+    # the linear loss needs pi < 1; the exponential one takes any pi >= 0
+    return frac * (0.95 if loss is LIN else 3.0)
+
+
+class TestMonteCarloProperties:
+    @given(params=markets, loss=losses, antithetic=st.booleans(),
+           n_half=st.integers(2, 3000), fracs=st.lists(st.floats(0.0, 1.0),
+                                                       min_size=1, max_size=5))
+    def test_sweep_is_bitwise_the_reference(self, params, loss, antithetic,
+                                            n_half, fracs):
+        grid = sorted({_policy(loss, f) for f in fracs})
+        cfg = McConfig(n_paths=2 * n_half + (not antithetic), seed=n_half,
+                       antithetic=antithetic)
+        _assert_bitwise_sweep(params, loss, grid, cfg)
+
+    @given(params=markets, loss=losses, frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32))
+    def test_estimate_within_five_standard_errors_of_oracle(self, params, loss,
+                                                           frac, seed):
+        pi = _policy(loss, frac)
+        est = estimate(params, pi, loss, McConfig(n_paths=20_000, seed=seed))
+        exact = expected_log_utility_exact(params, pi, loss)
+        # a zero-variance policy (pi = 0) differs only by rounding
+        assert abs(est.mean - exact) <= 5.0 * est.std_error + 1e-12 * (1.0 + abs(exact))
+
+    @given(params=interior_optimum_markets())
+    def test_oracle_argmax_is_the_optimal_weight_when_interior(self, params):
+        step = 1e-3
+        grid = np.arange(0.0, 3.0 + 0.5 * step, step)
+        pi_star = optimal_weight(params)
+        values = expected_log_utility_exact(params, grid, EXP)
+        assert abs(grid[int(np.argmax(values))] - pi_star) <= step + 1e-12
