@@ -119,9 +119,11 @@ def _max_sq_vol(problem: RegimeControlProblem, grid: GridSpec, regime: str) -> f
     fn = problem.vol_pre if regime == "pre" else problem.vol_post
     x_col = grid.x_nodes[:, None]
     u_row = grid.control_nodes[None, :]
-    sq = [np.max(np.square(np.asarray(fn(t, x_col, u_row), dtype=float)))
-          for t in (0.0, 0.5 * problem.horizon, problem.horizon)]
-    return float(np.max(sq))   # a NaN propagates, and _check_cfl rejects it
+    # an overflowing square is inf and a NaN propagates; _check_cfl rejects both
+    with np.errstate(over="ignore"):
+        sq = [np.max(np.square(np.asarray(fn(t, x_col, u_row), dtype=float)))
+              for t in (0.0, 0.5 * problem.horizon, problem.horizon)]
+    return float(np.max(sq))
 
 
 def _check_cfl(sq: float, dt: float, dx: float, horizon: float, regime: str,

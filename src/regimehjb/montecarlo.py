@@ -16,11 +16,24 @@ summary also uses as its deviation scratch. The values, means and
 standard errors are bitwise those of evaluating the terminal-law formula
 per policy and reducing with np.mean and np.std(ddof=1). A mean or
 standard error that is not finite raises NumericalError.
+
+The work runs on up to _MAX_WORKERS threads (fewer when the process may
+use fewer CPUs or the grid has fewer policies): the normals are drawn
+beside the uniforms, and the policy grid is cut into contiguous shares,
+the first for the caller's thread. numpy releases the GIL in the draws and
+the array passes. Every policy is still mapped and reduced whole by one
+thread, so results are bitwise independent of the worker count, and a
+failing sweep raises the error of its lowest failing policy, as a serial
+loop would. Memory is the normal draws, the table of defaulted paths and
+one n_paths buffer per worker.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -33,6 +46,10 @@ from .model import DefaultLossModel, MarketParams, NumericalError
 # diffusion draws come from independent streams
 _TAU_STREAM = 1
 _Z_STREAM = 2
+
+# a sweep spreads its policies over at most this many threads, the caller's
+# included
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -50,6 +67,9 @@ class McConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic pairing requires an even n_paths")
+        if self.antithetic and self.n_paths < 4:
+            # the standard error is taken over pair averages, with ddof=1
+            raise ValueError("antithetic pairing needs at least two pairs (n_paths >= 4)")
 
 
 @dataclass(frozen=True)
@@ -142,21 +162,31 @@ def _draw_streams(cfg: McConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Uniform draws for default times and normals for the diffusion.
 
     Element i of each stream belongs to path i. Antithetic mode fills
-    consecutive pairs (z, -z) from half as many normals.
+    consecutive pairs (z, -z) from half as many normals. The normals are
+    drawn on a helper thread while the caller draws the uniforms; each
+    stream has its own generator, so the draws do not depend on that.
     """
-    g_tau = np.random.Generator(np.random.Philox(key=(_TAU_STREAM << 64) | cfg.seed))
-    g_z = np.random.Generator(np.random.Philox(key=(_Z_STREAM << 64) | cfg.seed))
-    u = g_tau.random(cfg.n_paths)
-    # random() can return exactly 0; nudge to keep the inverse-CDF finite
-    u = np.maximum(u, np.finfo(float).tiny)
-    if cfg.antithetic:
-        half = g_z.standard_normal(cfg.n_paths // 2)
-        z = np.empty(cfg.n_paths)
-        z[0::2] = half
-        z[1::2] = -half
-    else:
-        z = g_z.standard_normal(cfg.n_paths)
-    return u, z
+    draws = {}
+
+    def uniforms():
+        g_tau = np.random.Generator(np.random.Philox(key=(_TAU_STREAM << 64) | cfg.seed))
+        u = g_tau.random(cfg.n_paths)
+        # random() can return exactly 0; nudge to keep the inverse-CDF finite
+        draws["u"] = np.maximum(u, np.finfo(float).tiny, out=u)
+
+    def normals():
+        g_z = np.random.Generator(np.random.Philox(key=(_Z_STREAM << 64) | cfg.seed))
+        if cfg.antithetic:
+            half = g_z.standard_normal(cfg.n_paths // 2)
+            z = np.empty(cfg.n_paths)
+            z[0::2] = half
+            z[1::2] = -half
+        else:
+            z = g_z.standard_normal(cfg.n_paths)
+        draws["z"] = z
+
+    _in_threads([uniforms, normals])
+    return draws["u"], draws["z"]
 
 
 def _summarize(vals: np.ndarray, cfg: McConfig) -> McEstimate:
@@ -203,17 +233,54 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     u, z = _draw_streams(cfg)
     table = _PathTable(params, z, sample_default_time(params.h, u))
     del u
-    vals = np.empty(cfg.n_paths)
-    points: List[Tuple[float, McEstimate]] = []
-    means = np.empty(pi_arr.size)
-    # a non-finite intermediate leaves a non-finite mean or std, which raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for idx, pi in enumerate(pi_arr):
-            table.terminal_log_wealth(params, float(pi), loss, vals)
-            est = _summarize(vals, cfg)
-            if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-                raise NumericalError(f"the Monte Carlo estimate at pi={float(pi)!r} "
-                                     "is not finite")
-            points.append((float(pi), est))
-            means[idx] = est.mean
-    return points, int(np.argmax(means))
+    points: List[Tuple[float, McEstimate]] = [None] * pi_arr.size
+
+    def estimate_range(lo: int, hi: int) -> None:
+        vals = np.empty(cfg.n_paths)
+        # numpy's error state is per thread; a non-finite intermediate
+        # leaves a non-finite mean or std, which raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for idx in range(lo, hi):
+                pi = float(pi_arr[idx])
+                table.terminal_log_wealth(params, pi, loss, vals)
+                est = _summarize(vals, cfg)
+                if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+                    raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} "
+                                         "is not finite")
+                points[idx] = (pi, est)
+
+    # contiguous shares in grid order: the first share that fails holds the
+    # lowest failing policy, the one a serial loop would report
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)      # not every platform has an affinity
+    n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
+    edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
+    _in_threads([functools.partial(estimate_range, lo, hi)
+                 for lo, hi in zip(edges[:-1], edges[1:])])
+    return points, int(np.argmax([est.mean for _, est in points]))
+
+
+def _in_threads(tasks) -> None:
+    """Call every task, the first in the caller thread and each other one on
+    a thread of its own, and return when all have finished. If any raised,
+    re-raise the exception of the first such task in list order."""
+    errors = [None] * len(tasks)
+
+    def run(k):
+        try:
+            tasks[k]()
+        except Exception as exc:      # handed to the caller below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(tasks))]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:     # started
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc

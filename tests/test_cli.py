@@ -29,6 +29,16 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def run_cli_warnings_as_errors(*args):
+    """Run the CLI in a fresh interpreter where any RuntimeWarning is an error."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regimehjb.cli", *args],
+        capture_output=True, text=True, env=env, check=False)
+
+
 class TestConfigLoading:
     def test_rejects_unknown_top_level_key(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -200,7 +210,6 @@ class TestCommandLine:
             err = capsys.readouterr().err
             assert "CFL" in err and "n_t" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_error_has_its_own_exit_code(self, tmp_path, capsys):
         cfg = base_config()
         cfg["market"]["sigma"] = 1e200     # vol^2 overflows to inf
@@ -249,14 +258,29 @@ class TestCommandLine:
         cfg = base_config()
         cfg["market"]["h"] = 1e-310        # -log(u) / h overflows to tau = inf
         path = write_config(tmp_path, cfg)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "regimehjb.cli",
-             command, "--config", path, "--out", str(tmp_path / "out.csv")],
-            capture_output=True, text=True, env=env, check=False)
+        run = run_cli_warnings_as_errors(command, "--config", path,
+                                         "--out", str(tmp_path / "out.csv"))
         assert (run.returncode, run.stderr) == (0, "")
+
+    @pytest.mark.parametrize("command", ["hjb-solve", "verify"])
+    def test_overflowing_vol_is_a_numerical_error_without_warnings(self, tmp_path,
+                                                                   command):
+        cfg = base_config()
+        cfg["market"]["sigma"] = 1e200     # vol^2 overflows in the CFL check
+        path = write_config(tmp_path, cfg)
+        run = run_cli_warnings_as_errors(command, "--config", path)
+        assert (run.returncode, run.stdout) == (3, "")
+        assert run.stderr == "numerical error: vol is not finite for the pre regime\n"
+
+    def test_single_antithetic_pair_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["mc"].update(n_paths=2, antithetic=True)
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["mc-estimate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: invalid mc section")
+        assert "two pairs" in captured.err
 
     def test_mc_estimate_defaults_to_optimal_weight(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

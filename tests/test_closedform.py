@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import losses, markets, policy
 
 from regimehjb.closedform import (FCoefficientVariant, expected_log_utility_exact,
                                   f_closed_form, f_ode_coefficients, j_after,
@@ -239,3 +242,51 @@ class TestExpectedLogUtilityExact:
             np.testing.assert_allclose(vals, singles, rtol=0, atol=0)
         no_hazard = expected_log_utility_exact(dataclasses.replace(ACCEPT, h=0.0), grid, EXP)
         np.testing.assert_allclose(vals, no_hazard, rtol=0, atol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# properties over random admissible markets (derandomized, see conftest.py)
+# --------------------------------------------------------------------------
+
+# hazards from subnormal up to 1e-4, uniform in the exponent
+small_hazards = st.floats(-320.0, -4.0).map(lambda e: 10.0 ** e)
+
+
+class TestClosedFormProperties:
+    @given(params=markets)
+    def test_derived_f0_is_the_oracle_at_the_optimum_less_log_w0(self, params):
+        pi_star = optimal_weight(params)
+        f0 = f_closed_form(params, 0.0, DERIVED)
+        log_w0 = math.log(params.w0)
+        oracle = expected_log_utility_exact(params, pi_star, EXP)
+        # rounding allowance on the largest terms either side adds up
+        scale = (1.0 + abs(log_w0) + abs(f0) + params.horizon_T
+                 * (abs(pi_star * (params.mu - params.r)) + (pi_star * params.sigma) ** 2))
+        assert abs(f0 - (oracle - log_w0)) <= 1e-12 * scale
+
+    @given(params=markets, h=small_hazards, t_frac=st.floats(0.0, 1.0))
+    def test_f_closed_form_is_continuous_as_h_goes_to_zero(self, params, h, t_frac):
+        p0 = dataclasses.replace(params, h=0.0)
+        t = t_frac * params.horizon_T
+        s = params.horizon_T - t
+        f0 = f_closed_form(p0, t, DERIVED)
+        fh = f_closed_form(dataclasses.replace(params, h=h), t, DERIVED)
+        # with K(h) = (m - h)^2 / (2 sigma^2), m = mu - r:
+        # |f_h - f_0| <= |K(h) - K(0)| s + K(0) h s^2 / 2
+        k0, _ = f_ode_coefficients(p0, DERIVED)
+        m = params.mu - params.r
+        bound = h * s * (2.0 * abs(m) + h) / (2.0 * params.sigma ** 2) + 0.5 * k0 * h * s * s
+        assert abs(fh - f0) <= bound + 1e-12 * (1.0 + abs(f0))
+
+    @given(params=markets, loss=losses, frac=st.floats(0.0, 1.0), h=small_hazards)
+    def test_oracle_is_continuous_as_h_goes_to_zero(self, params, loss, frac, h):
+        pi = policy(loss, frac)
+        e0 = expected_log_utility_exact(dataclasses.replace(params, h=0.0), pi, loss)
+        eh = expected_log_utility_exact(dataclasses.replace(params, h=h), pi, loss)
+        T = params.horizon_T
+        alpha = policy_log_drift(params, pi)
+        drop = loss.log_wealth_drop(pi)
+        # E_h - E_0 = ((1 - exp(-h T)) / h - T) (alpha - r) + (1 - exp(-h T)) L
+        bound = h * T * (0.5 * T * abs(alpha - params.r) + abs(drop))
+        scale = 1.0 + abs(e0) + T * (abs(alpha) + params.r) + abs(drop)
+        assert abs(eh - e0) <= bound + 1e-12 * scale

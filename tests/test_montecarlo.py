@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -6,10 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strategies import interior_optimum_markets, losses, markets, policy
+
+from regimehjb import montecarlo
 from regimehjb.closedform import (expected_log_utility_exact, optimal_weight,
                                   policy_log_drift)
 from regimehjb.model import DefaultLossModel, MarketParams, NumericalError
-from regimehjb.montecarlo import (McConfig, McEstimate, _draw_streams, estimate,
+from regimehjb.montecarlo import (McConfig, McEstimate, _in_threads, estimate,
                                   sample_default_time,
                                   simulate_terminal_log_wealth, sweep)
 
@@ -30,6 +35,7 @@ class TestConfigs:
             McConfig(n_paths=100, seed=2 ** 64)
         with pytest.raises(ValueError):
             McConfig(n_paths=101, seed=0, antithetic=True)
+        McConfig(n_paths=4, seed=0, antithetic=True)   # two pairs: the fewest
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -177,9 +183,24 @@ class TestSweep:
 
 
 # --------------------------------------------------------------------------
-# bitwise reference: the per-policy terminal map and summary that the shared
-# path table replaced, kept here verbatim
+# bitwise reference: serial draws, and the per-policy terminal map and
+# summary that the shared path table replaced, kept here verbatim
 # --------------------------------------------------------------------------
+
+def _reference_draws(cfg):
+    g_tau = np.random.Generator(np.random.Philox(key=(1 << 64) | cfg.seed))
+    g_z = np.random.Generator(np.random.Philox(key=(2 << 64) | cfg.seed))
+    u = g_tau.random(cfg.n_paths)
+    u = np.maximum(u, np.finfo(float).tiny)
+    if cfg.antithetic:
+        half = g_z.standard_normal(cfg.n_paths // 2)
+        z = np.empty(cfg.n_paths)
+        z[0::2] = half
+        z[1::2] = -half
+    else:
+        z = g_z.standard_normal(cfg.n_paths)
+    return u, z
+
 
 def _reference_terminal(params, pi, loss, z, tau):
     drop = loss.log_wealth_drop(pi)
@@ -209,7 +230,7 @@ def _reference_summarize(vals, cfg):
 
 
 def _reference_sweep(params, loss, pi_grid, cfg):
-    u, z = _draw_streams(cfg)
+    u, z = _reference_draws(cfg)
     tau = sample_default_time(params.h, u)
     points = [(float(pi), _reference_summarize(
         _reference_terminal(params, float(pi), loss, z, tau), cfg)) for pi in pi_grid]
@@ -239,6 +260,33 @@ PATH_CASES = [(2, False), (7, False), (100_001, False), (200_000, False),
               (UFUNC_BUFFER, True), (UFUNC_BUFFER + 1, False)]
 
 
+class _WorkerSpy:
+    """Forces the sweep's worker count through _MAX_WORKERS and the CPU
+    affinity, and records the threads that summarize a policy."""
+
+    def __init__(self, monkeypatch, max_workers, cpus):
+        monkeypatch.setattr(montecarlo, "_MAX_WORKERS", max_workers)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        self.cap = min(max_workers, cpus)
+        self.threads = set()
+        summarize = montecarlo._summarize
+
+        def spy(vals, cfg):
+            self.threads.add(threading.current_thread())
+            return summarize(vals, cfg)
+
+        monkeypatch.setattr(montecarlo, "_summarize", spy)
+
+
+# (_MAX_WORKERS, CPUs): one CPU; two threads; more threads than the seven
+# policies of a GRIDS sweep, which then runs one thread per policy
+@pytest.fixture(params=[(2, 1), (2, 2), (16, 16)],
+                ids=["one-cpu", "two-workers", "more-workers-than-policies"])
+def workers(request, monkeypatch):
+    return _WorkerSpy(monkeypatch, *request.param)
+
+
 class TestSweepReferenceEquivalence:
     @pytest.mark.parametrize("loss", [EXP, LIN], ids=["exp", "lin"])
     @pytest.mark.parametrize("w0,horizon", [(1.0, 1.0), (2.5, 2.0)])
@@ -249,6 +297,33 @@ class TestSweepReferenceEquivalence:
         for seed, (n_paths, antithetic) in enumerate(PATH_CASES):
             cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
             _assert_bitwise_sweep(params, loss, GRIDS[loss], cfg)
+
+    @pytest.mark.parametrize("loss", [EXP, LIN], ids=["exp", "lin"])
+    @pytest.mark.parametrize("h", [0.0, 1e-310, 0.02, 5.0])
+    def test_sweep_is_bitwise_the_reference_at_any_worker_count(self, h, loss, workers):
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=2.0, w0=2.5)
+        for seed, (n_paths, antithetic) in enumerate(PATH_CASES):
+            cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+            workers.threads.clear()
+            _assert_bitwise_sweep(params, loss, GRIDS[loss], cfg)
+            assert len(workers.threads) == min(workers.cap, len(GRIDS[loss]))
+
+    def test_many_workers_switching_often_stay_bitwise(self, monkeypatch):
+        # more threads than cores, switching every microsecond: a lost or
+        # misplaced write to a grid slot would break the equality
+        workers = _WorkerSpy(monkeypatch, max_workers=32, cpus=32)
+        grid = np.linspace(0.0, 3.0, 25).tolist()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed, (n_paths, antithetic) in enumerate([(7, False), (UFUNC_BUFFER, True),
+                                                          (100_001, False)]):
+                workers.threads.clear()
+                cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+                _assert_bitwise_sweep(ACCEPT, EXP, grid, cfg)
+                assert len(workers.threads) == len(grid)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("loss", [EXP, LIN], ids=["exp", "lin"])
     def test_wrapper_is_bitwise_the_reference_on_any_shape(self, loss):
@@ -288,41 +363,61 @@ class TestNonFiniteEstimates:
                 sweep(params, EXP, [0.0, 3.0], McConfig(n_paths=100, seed=0))
 
     def test_single_antithetic_pair_has_no_standard_error(self):
-        with pytest.raises(NumericalError):
-            estimate(ACCEPT, 1.0, EXP, McConfig(n_paths=2, seed=0, antithetic=True))
+        # one pair average cannot give a ddof=1 spread: a configuration error
+        with pytest.raises(ValueError, match="two pairs"):
+            McConfig(n_paths=2, seed=0, antithetic=True)
+
+    @pytest.mark.parametrize("max_workers", [1, 2, 16])
+    def test_lowest_failing_policy_is_reported_whatever_the_split(self, monkeypatch,
+                                                                  max_workers):
+        # every pi > 0 is non-finite here: with two workers each share fails,
+        # with seven the caller's (pi = 0) succeeds and every helper fails
+        workers = _WorkerSpy(monkeypatch, max_workers, cpus=16)
+        params = MarketParams(mu=0.08, sigma=1e154, r=0.02, h=0.02,
+                              horizon_T=1.0, w0=1.0)
+        before = set(threading.enumerate())
+        with pytest.raises(NumericalError, match=r"pi=0\.25 is"):
+            sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=100, seed=0))
+        assert len(workers.threads) == min(max_workers, len(GRIDS[EXP]))
+        # no worker outlives the sweep that raised
+        assert set(threading.enumerate()) == before
+
+
+class TestInThreads:
+    def test_joins_every_task_and_raises_the_first_failure_in_task_order(self):
+        finished = []
+        third_failed = threading.Event()
+
+        def first():              # the caller's task fails last
+            assert third_failed.wait(10)
+            raise ValueError("first")
+
+        def second():
+            finished.append(threading.current_thread())
+
+        def third():
+            try:
+                raise KeyError("third")
+            finally:
+                third_failed.set()
+
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="first"):
+            _in_threads([first, second, third])
+        assert len(finished) == 1 and finished[0] is not threading.current_thread()
+        assert set(threading.enumerate()) == before
+
+    def test_a_helper_failure_reaches_the_caller(self):
+        def fail():
+            raise KeyError("helper")
+
+        with pytest.raises(KeyError, match="helper"):
+            _in_threads([lambda: None, fail])
 
 
 # --------------------------------------------------------------------------
 # properties over random admissible markets (derandomized, see conftest.py)
 # --------------------------------------------------------------------------
-
-markets = st.builds(
-    MarketParams,
-    mu=st.floats(-0.2, 0.4),
-    sigma=st.floats(0.05, 1.0),
-    r=st.floats(0.0, 0.1),
-    h=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
-    horizon_T=st.floats(0.1, 5.0),
-    w0=st.floats(0.1, 10.0),
-)
-losses = st.sampled_from([EXP, LIN])
-
-
-@st.composite
-def interior_optimum_markets(draw):
-    """Markets whose optimal weight lies inside the control bounds [0, 3]:
-    mu is solved from a drawn pi* = (mu - r - h) / sigma^2."""
-    params = draw(markets)
-    pi_star = draw(st.floats(0.01, 2.99))
-    mu = params.r + params.h + pi_star * params.sigma ** 2
-    return MarketParams(mu=mu, sigma=params.sigma, r=params.r, h=params.h,
-                        horizon_T=params.horizon_T, w0=params.w0)
-
-
-def _policy(loss, frac):
-    # the linear loss needs pi < 1; the exponential one takes any pi >= 0
-    return frac * (0.95 if loss is LIN else 3.0)
-
 
 class TestMonteCarloProperties:
     @given(params=markets, loss=losses, antithetic=st.booleans(),
@@ -330,7 +425,7 @@ class TestMonteCarloProperties:
                                                        min_size=1, max_size=5))
     def test_sweep_is_bitwise_the_reference(self, params, loss, antithetic,
                                             n_half, fracs):
-        grid = sorted({_policy(loss, f) for f in fracs})
+        grid = sorted({policy(loss, f) for f in fracs})
         cfg = McConfig(n_paths=2 * n_half + (not antithetic), seed=n_half,
                        antithetic=antithetic)
         _assert_bitwise_sweep(params, loss, grid, cfg)
@@ -339,7 +434,7 @@ class TestMonteCarloProperties:
            seed=st.integers(0, 2 ** 32))
     def test_estimate_within_five_standard_errors_of_oracle(self, params, loss,
                                                            frac, seed):
-        pi = _policy(loss, frac)
+        pi = policy(loss, frac)
         est = estimate(params, pi, loss, McConfig(n_paths=20_000, seed=seed))
         exact = expected_log_utility_exact(params, pi, loss)
         # a zero-variance policy (pi = 0) differs only by rounding
