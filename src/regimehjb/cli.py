@@ -6,7 +6,11 @@ reports: JSON for summaries, CSV for tables. Every report embeds the fully
 resolved configuration so a run can be reproduced bit-for-bit from its own
 output. verify calls the same per-route helpers as the single-route
 commands. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration
-error, 3 numerical error (a non-finite quantity met during a solve).
+error (wherever it is found: the schema, a CFL violation, control nodes
+outside the bounds, a linear-loss weight pi >= 1, a step size that gives no
+usable node count, a state grid with no interior window), 3 numerical error
+(a non-finite quantity met during a solve), 4 internal error (a traceback,
+to be reported as a bug).
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ import csv
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
 from .closedform import (FCoefficientVariant, expected_log_utility_exact,
                          f_closed_form, j_after, optimal_weight)
 from .hjb import GridSpec, solve_system
-from .model import (DEFAULT_CONTROL_BOUNDS, DefaultLossModel, MarketParams,
-                    NumericalError, merton_as_generic)
+from .model import (DEFAULT_CONTROL_BOUNDS, ConfigError, DefaultLossModel,
+                    MarketParams, NumericalError, merton_as_generic)
 from .montecarlo import McConfig, estimate, sweep
 from .odesolve import OdeConfig, solve_f_backward
 
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_GATE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 # pinned verification tolerances (see the acceptance suite)
 TOL_ODE_VS_CLOSED = 1e-10
@@ -46,184 +50,142 @@ INTERIOR_BUFFER_LO = 1.5
 INTERIOR_BUFFER_HI = 0.5
 
 
-class ConfigError(Exception):
-    """Configuration file failed strict validation."""
-
-
 # --------------------------------------------------------------------------
 # strict config loading
 # --------------------------------------------------------------------------
 
-_MARKET_KEYS = ("mu", "sigma", "r", "h", "horizon_T", "w0")
+_REQUIRED = object()    # default of a key that must be given
+_ABSENT = object()      # default of a key that stays out of the resolved config
+
+# (section, key, kind, default) in check order; section None is the top
+# level, a tuple kind lists the allowed values, and a callable default is
+# computed from the keys resolved before it
+_SCHEMA = (
+    *(("market", key, "number", _REQUIRED)
+      for key in ("mu", "sigma", "r", "h", "horizon_T", "w0")),
+    (None, "loss_mode", ("exponential", "linear"), "exponential"),
+    (None, "variant", ("paper", "derived"), "derived"),
+    (None, "control_bounds", "bounds", lambda c: list(DEFAULT_CONTROL_BOUNDS)),
+    ("ode", "step", "number", 1e-4),
+    ("ode", "method", ("rk4",), "rk4"),
+    ("grid", "x_min", "number", lambda c: math.log(c["market"]["w0"]) - 4.0),
+    ("grid", "x_max", "number", lambda c: math.log(c["market"]["w0"]) + 4.0),
+    ("grid", "n_x", "integer", 401),
+    ("grid", "n_t", "integer", 4000),
+    ("grid", "control_nodes", "numbers", _ABSENT),
+    ("grid", "control_step", "number",
+     lambda c: _ABSENT if "control_nodes" in c["grid"] else 0.05),
+    ("mc", "n_paths", "integer", 100_000),
+    ("mc", "seed", "integer", 12345),
+    ("mc", "antithetic", "bool", False),
+    (None, "report_times", "numbers",
+     lambda c: [i * c["market"]["horizon_T"] / 10.0 for i in range(10)]
+     + [c["market"]["horizon_T"]]),
+    (None, "pi", "number or null", None),
+    ("sweep", "pi_lo", "number", lambda c: c["control_bounds"][0]),
+    ("sweep", "pi_hi", "number", lambda c: c["control_bounds"][1]),
+    ("sweep", "pi_step", "number", 0.05),
+    (None, "output_path", "string or null", None),
+)
 
 
-def _require_mapping(obj, where):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# kind -> (test of a given value, what a value that fails it must be)
+_KINDS = {
+    "number": (_is_number, "a number"),
+    "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                "a non-empty list of numbers"),
+    "bounds": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+               "a two-number list [u_lo, u_hi]"),
+    "number or null": (lambda v: v is None or _is_number(v), "a number or null"),
+    "string or null": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _check_object(obj, where: str, keys) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    return obj
-
-
-def _reject_unknown(d, allowed, where):
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(d, key, where, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(v)
+def _walk(raw: dict, cfg: dict):
+    """Resolve the rows of _SCHEMA into cfg in order, yielding each key once its
+    value (given or default) is in; a section is checked at its first row."""
+    for section, key, kind, default in _SCHEMA:
+        if section is not None and section not in cfg:
+            _check_object(raw.get(section, {}), section,
+                     [row[1] for row in _SCHEMA if row[0] == section])
+            cfg[section] = {}
+        given, out = (raw, cfg) if section is None else (raw.get(section, {}), cfg[section])
+        if key in given:
+            value = given[key]
+            test, what = _KINDS.get(kind) or (kind.__contains__, f"one of {sorted(kind)}")
+            if not test(value):
+                name = f"{section or 'config'}.{key}" if section or kind not in _KINDS else key
+                raise ConfigError(f"{name} must be {what}")
+            if kind != "integer":      # every other number resolves to a float
+                value = ([float(v) for v in value] if isinstance(value, list)
+                         else float(value) if _is_number(value) else value)
+            out[key] = value
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in {section}" if section in raw
+                              else f"missing required section '{section}'")
+        else:
+            value = default(cfg) if callable(default) else default
+            if value is not _ABSENT:
+                out[key] = value
+        yield key
 
 
-def _integer(d, key, where, default=None):
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    return v
-
-
-def _string_choice(d, key, where, choices, default):
-    v = d.get(key, default)
-    if v not in choices:
-        raise ConfigError(f"{where}.{key} must be one of {sorted(choices)}")
-    return v
-
-
-def resolve_config(raw: dict, seed_override: Optional[int] = None,
-                   variant_override: Optional[str] = None) -> dict:
+def resolve_config(raw: dict, seed_override: int | None = None,
+                   variant_override: str | None = None) -> dict:
     """Validate a raw config dict and materialize every default.
 
     The result is itself a valid input config; reports embed it so any run
-    can be reproduced from its own output.
+    can be reproduced from its own output. The rules that tie keys together
+    run as soon as the walk has resolved the keys they read.
     """
-    _require_mapping(raw, "config")
-    _reject_unknown(raw, ("market", "loss_mode", "variant", "control_bounds",
-                          "ode", "grid", "mc", "report_times", "pi", "sweep",
-                          "output_path"), "config")
-
-    if "market" not in raw:
-        raise ConfigError("missing required section 'market'")
-    market = _require_mapping(raw["market"], "market")
-    _reject_unknown(market, _MARKET_KEYS, "market")
-    market_out = {k: _number(market, k, "market", required=True) for k in _MARKET_KEYS}
-    try:
-        params = MarketParams(**market_out)
-    except ValueError as exc:
-        raise ConfigError(f"invalid market parameters: {exc}") from exc
-
-    loss_mode = _string_choice(raw, "loss_mode", "config",
-                               ("exponential", "linear"), "exponential")
-    variant = _string_choice(raw, "variant", "config", ("paper", "derived"), "derived")
-    if variant_override is not None:
-        if variant_override not in ("paper", "derived"):
-            raise ConfigError("variant must be 'paper' or 'derived'")
-        variant = variant_override
-
-    bounds = raw.get("control_bounds", list(DEFAULT_CONTROL_BOUNDS))
-    if (not isinstance(bounds, list) or len(bounds) != 2
-            or any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in bounds)):
-        raise ConfigError("control_bounds must be a two-number list [u_lo, u_hi]")
-    bounds = [float(bounds[0]), float(bounds[1])]
-    if not bounds[0] < bounds[1]:
-        raise ConfigError("control_bounds must satisfy u_lo < u_hi")
-    if loss_mode == "linear" and bounds[1] >= 1.0:
-        raise ConfigError("linear loss requires u_hi < 1")
-
-    ode = _require_mapping(raw.get("ode", {}), "ode")
-    _reject_unknown(ode, ("step", "method"), "ode")
-    ode_out = {"step": _number(ode, "step", "ode", default=1e-4),
-               "method": _string_choice(ode, "method", "ode", ("rk4",), "rk4")}
-    if ode_out["step"] <= 0.0:
-        raise ConfigError("ode.step must be positive")
-
-    grid = _require_mapping(raw.get("grid", {}), "grid")
-    _reject_unknown(grid, ("x_min", "x_max", "n_x", "n_t",
-                           "control_nodes", "control_step"), "grid")
-    x0 = math.log(params.w0)
-    grid_out = {
-        "x_min": _number(grid, "x_min", "grid", default=x0 - 4.0),
-        "x_max": _number(grid, "x_max", "grid", default=x0 + 4.0),
-        "n_x": _integer(grid, "n_x", "grid", default=401),
-        "n_t": _integer(grid, "n_t", "grid", default=4000),
-    }
-    if "control_nodes" in grid and "control_step" in grid:
-        raise ConfigError("give grid.control_nodes or grid.control_step, not both")
-    if "control_nodes" in grid:
-        nodes = grid["control_nodes"]
-        if (not isinstance(nodes, list) or not nodes
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in nodes)):
-            raise ConfigError("grid.control_nodes must be a non-empty list of numbers")
-        grid_out["control_nodes"] = [float(v) for v in nodes]
-    else:
-        step = _number(grid, "control_step", "grid", default=0.05)
-        if step <= 0.0:
+    _check_object(raw, "config", {row[0] or row[1] for row in _SCHEMA})
+    cfg = {}
+    for key in _walk(raw, cfg):
+        if key == "w0":
+            _built("market parameters", MarketParams, **cfg["market"])
+        elif key == "variant" and variant_override is not None:
+            if variant_override not in ("paper", "derived"):
+                raise ConfigError("variant must be 'paper' or 'derived'")
+            cfg["variant"] = variant_override
+        elif key == "control_bounds":
+            lo, hi = cfg["control_bounds"]
+            if not lo < hi:
+                raise ConfigError("control_bounds must satisfy u_lo < u_hi")
+            if cfg["loss_mode"] == "linear" and hi >= 1.0:
+                raise ConfigError("linear loss requires u_hi < 1")
+        elif key == "method" and cfg["ode"]["step"] <= 0.0:
+            raise ConfigError("ode.step must be positive")
+        elif key == "n_t" and {"control_nodes", "control_step"} <= raw.get("grid", {}).keys():
+            raise ConfigError("give grid.control_nodes or grid.control_step, not both")
+        elif key == "control_step" and cfg["grid"].get("control_step", 1.0) <= 0.0:
             raise ConfigError("grid.control_step must be positive")
-        grid_out["control_step"] = step
-
-    mc = _require_mapping(raw.get("mc", {}), "mc")
-    _reject_unknown(mc, ("n_paths", "seed", "antithetic"), "mc")
-    mc_out = {"n_paths": _integer(mc, "n_paths", "mc", default=100_000),
-              "seed": _integer(mc, "seed", "mc", default=12345),
-              "antithetic": mc.get("antithetic", False)}
-    if not isinstance(mc_out["antithetic"], bool):
-        raise ConfigError("mc.antithetic must be a boolean")
-    if seed_override is not None:
-        mc_out["seed"] = seed_override
-
-    if "report_times" in raw:
-        times = raw["report_times"]
-        if (not isinstance(times, list) or not times
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in times)):
-            raise ConfigError("report_times must be a non-empty list of numbers")
-        times = [float(v) for v in times]
-        if any(not 0.0 <= t <= params.horizon_T for t in times):
+        elif key == "antithetic" and seed_override is not None:
+            cfg["mc"]["seed"] = seed_override
+        elif key == "report_times" and not all(
+                0.0 <= t <= cfg["market"]["horizon_T"] for t in cfg["report_times"]):
             raise ConfigError("report_times must lie inside [0, horizon_T]")
-    else:
-        times = [i * params.horizon_T / 10.0 for i in range(10)] + [params.horizon_T]
-
-    pi = raw.get("pi", None)
-    if pi is not None:
-        if isinstance(pi, bool) or not isinstance(pi, (int, float)):
-            raise ConfigError("pi must be a number or null")
-        pi = float(pi)
-
-    sweep_cfg = _require_mapping(raw.get("sweep", {}), "sweep")
-    _reject_unknown(sweep_cfg, ("pi_lo", "pi_hi", "pi_step"), "sweep")
-    sweep_out = {"pi_lo": _number(sweep_cfg, "pi_lo", "sweep", default=bounds[0]),
-                 "pi_hi": _number(sweep_cfg, "pi_hi", "sweep", default=bounds[1]),
-                 "pi_step": _number(sweep_cfg, "pi_step", "sweep", default=0.05)}
-    if sweep_out["pi_step"] <= 0.0 or sweep_out["pi_lo"] >= sweep_out["pi_hi"]:
-        raise ConfigError("sweep needs pi_lo < pi_hi and a positive pi_step")
-
-    output_path = raw.get("output_path", None)
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path must be a string or null")
-
-    resolved = {
-        "market": market_out,
-        "loss_mode": loss_mode,
-        "variant": variant,
-        "control_bounds": bounds,
-        "ode": ode_out,
-        "grid": grid_out,
-        "mc": mc_out,
-        "report_times": times,
-        "pi": pi,
-        "sweep": sweep_out,
-        "output_path": output_path,
-    }
-    # re-validate nested numeric invariants early so every command fails fast
-    build_grid(resolved)
-    build_ode(resolved)
-    build_mc(resolved)
-    return resolved
+        elif key == "pi_step" and (cfg["sweep"]["pi_step"] <= 0.0
+                                   or cfg["sweep"]["pi_lo"] >= cfg["sweep"]["pi_hi"]):
+            raise ConfigError("sweep needs pi_lo < pi_hi and a positive pi_step")
+    # the dataclasses and the node counts check the rest, so every command fails fast
+    build_grid(cfg)
+    build_ode(cfg)
+    build_mc(cfg)
+    return cfg
 
 
 def load_config(path: str, seed_override=None, variant_override=None) -> dict:
@@ -234,12 +196,38 @@ def load_config(path: str, seed_override=None, variant_override=None) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:      # bytes that are not UTF-8, an over-long integer
+        raise ConfigError(str(exc)) from exc
     return resolve_config(raw, seed_override, variant_override)
 
 
 # --------------------------------------------------------------------------
 # builders from a resolved config
 # --------------------------------------------------------------------------
+
+def _built(what: str, cls, **fields):
+    """cls(**fields), with the ValueError it raises reported as a config fault."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _intervals(width: float, step: float, where: str) -> float:
+    """width / step, a config fault named by `where` unless it is finite and fits np.intp."""
+    intervals = width / step
+    if not (math.isfinite(intervals) and intervals < np.iinfo(np.intp).max):
+        raise ConfigError(f"{where} gives {intervals!r} intervals")
+    return intervals
+
+
+def _nodes(lo: float, hi: float, step: float, where: str) -> np.ndarray:
+    """round((hi - lo) / step) + 1 evenly spaced nodes from lo to hi, strictly ascending."""
+    nodes = np.linspace(lo, hi, round(_intervals(hi - lo, step, where)) + 1)
+    if not np.all(nodes[1:] > nodes[:-1]):
+        raise ConfigError(f"{where} gives nodes that are not strictly ascending")
+    return nodes
+
 
 def build_market(cfg: dict) -> MarketParams:
     return MarketParams(**cfg["market"])
@@ -254,10 +242,10 @@ def build_variant(cfg: dict) -> FCoefficientVariant:
 
 
 def build_ode(cfg: dict) -> OdeConfig:
-    try:
-        return OdeConfig(step=cfg["ode"]["step"], method=cfg["ode"]["method"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid ode section: {exc}") from exc
+    ode = _built("ode section", OdeConfig, **cfg["ode"])
+    horizon = cfg["market"]["horizon_T"]
+    _intervals(horizon, ode.step, f"ode.step = {ode.step!r} over horizon_T = {horizon!r}")
+    return ode
 
 
 def build_grid(cfg: dict) -> GridSpec:
@@ -265,29 +253,26 @@ def build_grid(cfg: dict) -> GridSpec:
     if "control_nodes" in g:
         nodes = np.asarray(g["control_nodes"], dtype=float)
     else:
-        lo, hi = cfg["control_bounds"]
-        count = int(round((hi - lo) / g["control_step"])) + 1
-        nodes = np.linspace(lo, hi, count)
-    try:
-        return GridSpec(x_min=g["x_min"], x_max=g["x_max"], n_x=g["n_x"],
-                        n_t=g["n_t"], control_nodes=nodes)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid section: {exc}") from exc
+        step, bounds = g["control_step"], cfg["control_bounds"]
+        nodes = _nodes(*bounds, step,
+                       f"grid.control_step = {step!r} over control_bounds {bounds}")
+    return _built("grid section", GridSpec, x_min=g["x_min"], x_max=g["x_max"],
+                  n_x=g["n_x"], n_t=g["n_t"], control_nodes=nodes)
 
 
 def build_mc(cfg: dict) -> McConfig:
-    try:
-        return McConfig(n_paths=cfg["mc"]["n_paths"], seed=cfg["mc"]["seed"],
-                        antithetic=cfg["mc"]["antithetic"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid mc section: {exc}") from exc
+    return _built("mc section", McConfig, **cfg["mc"])
 
 
 def interior_nodes_mask(grid: GridSpec, loss: DefaultLossModel,
                         control_nodes: np.ndarray) -> np.ndarray:
-    """Window of nodes unaffected by boundary clamping of jump targets."""
-    max_drop = float(np.max(np.abs(loss.log_wealth_drop(control_nodes))))
-    return grid.interior_mask(max_drop + INTERIOR_BUFFER_LO, INTERIOR_BUFFER_HI)
+    """Window of nodes unaffected by clamped jump targets; none left is a config fault."""
+    margin = float(np.max(np.abs(loss.log_wealth_drop(control_nodes)))) + INTERIOR_BUFFER_LO
+    mask = grid.interior_mask(margin, INTERIOR_BUFFER_HI)
+    if not mask.any():
+        raise ConfigError(f"no node of [x_min, x_max] lies {margin:.6g} above x_min "
+                          f"and {INTERIOR_BUFFER_HI} below x_max")
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -376,17 +361,16 @@ def cmd_sweep(cfg: dict) -> dict:
     params = build_market(cfg)
     loss = build_loss(cfg)
     s = cfg["sweep"]
-    count = int(round((s["pi_hi"] - s["pi_lo"]) / s["pi_step"])) + 1
-    pi_grid = np.linspace(s["pi_lo"], s["pi_hi"], count)
+    pi_grid = _nodes(s["pi_lo"], s["pi_hi"], s["pi_step"], f"sweep.pi_step = {s['pi_step']!r} "
+                     f"over [pi_lo, pi_hi] = [{s['pi_lo']!r}, {s['pi_hi']!r}]")
     points, mc_idx = sweep(params, loss, pi_grid, build_mc(cfg))
     exact = np.asarray(expected_log_utility_exact(params, pi_grid, loss))
     exact_idx = int(np.argmax(exact))
-    rows = []
-    for i, (pi, est) in enumerate(points):
-        rows.append({"pi": pi, "mc_mean": est.mean, "mc_stderr": est.std_error,
-                     "exact_value": float(exact[i]),
-                     "is_mc_argmax": i == mc_idx,
-                     "is_analytic_argmax": i == exact_idx})
+    rows = [{"pi": pi, "mc_mean": est.mean, "mc_stderr": est.std_error,
+             "exact_value": float(exact[i]),
+             "is_mc_argmax": i == mc_idx,
+             "is_analytic_argmax": i == exact_idx}
+            for i, (pi, est) in enumerate(points)]
     return {
         "config": cfg,
         "mc_argmax_pi": float(pi_grid[mc_idx]),
@@ -402,14 +386,9 @@ def write_sweep_csv(report: dict, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in report["rows"]:
-            writer.writerow([
-                repr(float(row["pi"])),
-                repr(float(row["mc_mean"])),
-                repr(float(row["mc_stderr"])),
-                repr(float(row["exact_value"])),
-                str(int(row["is_mc_argmax"])),
-                str(int(row["is_analytic_argmax"])),
-            ])
+            # four float columns, then the two argmax flags as 0/1
+            writer.writerow([repr(float(row[c])) for c in columns[:4]]
+                            + [str(int(row[c])) for c in columns[4:]])
 
 
 def _gate(name: str, deviation: float, tolerance: float) -> dict:
@@ -432,6 +411,8 @@ def cmd_verify(cfg: dict) -> dict:
     value_exact = expected_log_utility_exact(params, pi_star, loss)
 
     lo, hi = cfg["control_bounds"]
+    _intervals(hi - lo, ARGMAX_GRID_STEP,
+               f"the oracle grid over control_bounds [{lo!r}, {hi!r}]")
     argmax_grid = np.arange(lo, hi + 0.5 * ARGMAX_GRID_STEP, ARGMAX_GRID_STEP)
     oracle_vals = np.asarray(expected_log_utility_exact(params, argmax_grid, loss))
     argmax_dev = abs(float(argmax_grid[int(np.argmax(oracle_vals))]) - pi_star)
@@ -479,15 +460,6 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = render_report(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="regimehjb",
@@ -510,27 +482,28 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed,
                           variant_override=args.variant)
         report = _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:   # CflViolationError is a ValueError
+        out = args.out or cfg["output_path"]
+        if args.command == "sweep":
+            if not out:
+                raise ConfigError("sweep needs --out or output_path for its CSV")
+            write_sweep_csv(report, out)
+            report, out = {k: v for k, v in report.items() if k != "rows"}, None
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(render_report(report))
+        else:
+            sys.stdout.write(render_report(report))
+    except ConfigError as exc:      # CflViolationError is one
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    if args.command == "sweep":
-        out = args.out or cfg["output_path"]
-        if not out:
-            print("configuration error: sweep needs --out or output_path for its CSV",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        write_sweep_csv(report, out)
-        summary = {k: v for k, v in report.items() if k != "rows"}
-        sys.stdout.write(render_report(summary))
-        return EXIT_OK
-
-    _emit(report, args.out or cfg["output_path"])
-    gates = report.get("gates", [])
-    return EXIT_OK if all(g["pass"] for g in gates) else EXIT_GATE_FAIL
+    except Exception:
+        import traceback            # numpy does not load it; only this path needs it
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    return EXIT_OK if all(g["pass"] for g in report.get("gates", [])) else EXIT_GATE_FAIL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Tuple
 
 import numpy as np
 
@@ -57,11 +56,9 @@ def j_after(params: MarketParams, w: float, t: float) -> float:
 
 def f_ode_coefficients(params: MarketParams,
                        variant: FCoefficientVariant = FCoefficientVariant.DERIVED,
-                       ) -> Tuple[float, float]:
-    """Constants (K, g) of the linear terminal-value equation for f(t).
-
-    The equation is  f'(t) - h f(t) = -K - r - h r (T - t)  with f(T) = 0;
-    g = -K is the composite constant of its shifted form.
+                       ) -> float:
+    """Constant K of the linear terminal-value equation for f(t):
+    f'(t) - h f(t) = -K - r - h r (T - t)  with f(T) = 0.
     """
     m = params.mu - params.r - params.h
     sig2 = params.sigma * params.sigma
@@ -69,7 +66,7 @@ def f_ode_coefficients(params: MarketParams,
         k = m * m * (2.0 - sig2) / (2.0 * sig2)
     else:
         k = m * m / (2.0 * sig2)
-    return k, -k
+    return k
 
 
 def f_closed_form(params: MarketParams, t,
@@ -89,7 +86,7 @@ def f_closed_form(params: MarketParams, t,
     t_arr = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t_arr) & (t_arr <= params.horizon_T)):
         raise ValueError("t must lie in [0, horizon_T]")
-    k, _ = f_ode_coefficients(params, variant)
+    k = f_ode_coefficients(params, variant)
     scalar = t_arr.ndim == 0
     s = params.horizon_T - (float(t_arr) if scalar else t_arr)
     h = params.h

@@ -30,14 +30,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import NumericalError, RegimeControlProblem
+from .model import ConfigError, NumericalError, RegimeControlProblem
 
 # hazard * dt above this triggers a warning: the scheme drops the
 # O((h dt)^2) correction of the switch probability over one step
 HAZARD_DT_WARN = 0.1
 
 
-class CflViolationError(ValueError):
+class CflViolationError(ConfigError):
     """Explicit-scheme stability bound dt <= dx^2 / max(vol^2) is violated."""
 
     def __init__(self, message: str, min_n_t: int):
@@ -153,7 +153,7 @@ def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec, regime: str
     nodes = grid.control_nodes
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     if nodes[0] < lo - tol or nodes[-1] > hi + tol:
-        raise ValueError("control_nodes fall outside the problem's control_bounds")
+        raise ConfigError("control_nodes fall outside the problem's control_bounds")
     _check_cfl(_max_sq_vol(problem, grid, regime), grid.dt(problem.horizon), grid.dx,
                problem.horizon, regime)
 
@@ -396,6 +396,10 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     v_after = np.asarray(v_after, dtype=float)
     if v_after.shape != (grid.n_t + 1, grid.n_x):
         raise ValueError("v_after was not produced on this grid")
+    # checked before stepping, where the coupling would meet it through a bare
+    # RuntimeWarning; min and max need no mesh-sized temporary
+    if not (math.isfinite(v_after.min()) and math.isfinite(v_after.max())):
+        raise NumericalError("v_after is not finite")
     return _march(problem, grid, "pre", v_after)
 
 

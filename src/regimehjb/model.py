@@ -19,6 +19,12 @@ class NumericalError(RuntimeError):
     """Non-finite quantity encountered during a solve."""
 
 
+class ConfigError(ValueError):
+    """A configuration fault, found when the config is read or when a solve
+    meets it (a CFL violation, control nodes outside the bounds, a linear-loss
+    weight pi >= 1)."""
+
+
 class DefaultLossModel(Enum):
     """How wealth is marked down when the default event hits.
 
@@ -38,7 +44,7 @@ class DefaultLossModel(Enum):
             out = -pi_arr
         else:
             if np.any(pi_arr >= 1.0):
-                raise ValueError("linear loss requires pi < 1 (wealth would hit zero)")
+                raise ConfigError("linear loss requires pi < 1 (wealth would hit zero)")
             out = np.log1p(-pi_arr)
         return float(out) if pi_arr.ndim == 0 else out
 

@@ -51,7 +51,7 @@ def solve_f_backward(params: MarketParams,
 
     Returns an FCurve on the uniform grid including t = 0 and t = T.
     """
-    k, _ = f_ode_coefficients(params, variant)
+    k = f_ode_coefficients(params, variant)
     h, r, T = params.h, params.r, params.horizon_T
 
     def rhs(s, g):

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimehjb import cli
 
@@ -329,3 +331,129 @@ class TestSweepCommand:
         path = write_config(tmp_path, base_config())
         assert cli.main(["sweep", "--config", path]) == 2
         assert "sweep" in capsys.readouterr().err
+
+
+GRID = base_config()["grid"]
+INF = float("inf")
+
+
+class TestUnusableSteps:
+    """Step sizes and bounds the schema accepts but that give no usable node
+    count: a configuration error (exit 2) whose message names the key."""
+
+    @pytest.mark.parametrize("command, over, key", [
+        *(("closed-form", {"grid": dict(GRID, control_step=step)}, "grid.control_step")
+          for step in (1e-320, 1e-300, float("nan"))),
+        *(("sweep", {"sweep": {"pi_step": step}}, "sweep.pi_step")
+          for step in (1e-320, 1e-300, float("nan"))),
+        ("sweep", {"sweep": {"pi_lo": 1, "pi_hi": 1.0000000000000002, "pi_step": 1e-17}},
+         "sweep.pi_step"),
+        *(("closed-form", {"ode": {"step": step}}, "ode.step")
+          for step in (1e-320, 1e-300, float("nan"))),
+        ("closed-form", {"control_bounds": [0, INF]}, "control_bounds"),
+        ("verify", {"control_bounds": [0, INF], "grid": dict(GRID, control_nodes=[0.0, 1.0])},
+         "control_bounds"),
+    ])
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, command, over, key):
+        path = write_config(tmp_path, base_config(**over))
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ") and key in captured.err
+
+    def test_empty_interior_window_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["grid"].update(x_min=-2.0, x_max=2.0)    # narrower than the largest jump, 3
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["hjb-solve", "--config", path]) == 2
+        assert "x_min" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    """Exit 2 for every configuration fault wherever it is found, 3 for a
+    numerical error, 4 with a traceback for anything else."""
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"), KeyError("boom")])
+    def test_internal_error_exits_4_with_a_traceback(self, tmp_path, capsys,
+                                                    monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_f_backward", broken)
+        path = write_config(tmp_path, base_config())
+        assert cli.main(["ode-check", "--config", path]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert type(exc).__name__ in captured.err and "configuration error" not in captured.err
+
+    @pytest.mark.parametrize("command, over", [
+        ("mc-estimate", {"pi": 1.5}),
+        ("sweep", {"sweep": {"pi_lo": 0.0, "pi_hi": 1.2, "pi_step": 0.1}}),
+    ])
+    def test_linear_loss_weight_of_one_or_more_exits_2(self, tmp_path, capsys,
+                                                        command, over):
+        cfg = base_config(loss_mode="linear", control_bounds=[0.0, 0.9], **over)
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("configuration error: linear loss requires "
+                                           "pi < 1 (wealth would hit zero)\n")
+
+
+_FIELDS = ([("market", k) for k in ACCEPT_MARKET]
+           + [("ode", k) for k in ("step", "method")]
+           + [("grid", k) for k in ("x_min", "x_max", "n_x", "n_t", "control_nodes",
+                                    "control_step")]
+           + [("mc", k) for k in ("n_paths", "seed", "antithetic")]
+           + [("sweep", k) for k in ("pi_lo", "pi_hi", "pi_step")]
+           + [(None, k) for k in ("loss_mode", "variant", "control_bounds", "report_times",
+                                  "pi", "output_path", "market", "ode", "grid", "mc",
+                                  "sweep")])
+# numbers stay small or non-finite: a list can become the control bounds, and a
+# finite but huge node count would be built (filling memory) before any check
+_NUMBERS = st.one_of(st.integers(-2, 5), st.just(2 ** 70),
+                     st.sampled_from([0.0, 0.05, 0.5, 0.9, 3.0, -1.0, float("nan"),
+                                      float("inf"), -float("inf"), 1e-320]))
+_SPECIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-320])
+_VALUES = st.one_of(_NUMBERS, st.none(), st.booleans(),
+                    st.sampled_from(["x", "linear", "paper", "rk4"]),
+                    st.lists(st.one_of(_NUMBERS, st.just("a")), max_size=3),
+                    st.dictionaries(st.sampled_from(["a", "step", "mu"]), _NUMBERS,
+                                    max_size=2))
+_NUMBER_FIELDS = [f for f in _FIELDS if f[0] in ("market", "sweep")
+                  or f[1] in ("step", "x_min", "x_max", "control_step", "pi")]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """The test's base config with one or two faults: a key deleted, a value of
+    another type, an unknown key, or a number set to NaN, +-Infinity or 1e-320
+    (one of them alone, or as a control bound)."""
+    raw = base_config(sweep={"pi_lo": 0.0, "pi_hi": 2.0, "pi_step": 0.5}, pi=0.5)
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(["delete", "set", "unknown", "special", "bound"]))
+        section, key = draw(st.sampled_from(_NUMBER_FIELDS if action == "special"
+                                            else _FIELDS))
+        target = raw if section is None else raw.setdefault(section, {})
+        if not isinstance(target, dict):
+            continue
+        if action == "delete":
+            target.pop(key, None)
+        elif action == "unknown":
+            target["bogus"] = draw(_VALUES)
+        elif action == "bound":
+            raw["control_bounds"] = draw(st.permutations([0.0, draw(_SPECIAL)]))
+        else:
+            target[key] = draw(_SPECIAL if action == "special" else _VALUES)
+    return raw
+
+
+@settings(max_examples=1000)
+@given(raw=_mutated_configs())
+def test_resolve_config_returns_a_fixed_point_or_raises_config_error(raw):
+    try:
+        cfg = cli.resolve_config(copy.deepcopy(raw))
+    except cli.ConfigError:
+        return
+    # rendered, so that a NaN compares equal to itself
+    assert cli.render_report(cli.resolve_config(copy.deepcopy(cfg))) == cli.render_report(cfg)

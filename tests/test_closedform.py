@@ -95,14 +95,13 @@ class TestFOdeCoefficients:
     def test_variants_coincide_at_unit_sigma(self):
         p = MarketParams(mu=0.13, sigma=1.0, r=0.02, h=0.01, horizon_T=1.0, w0=1.0)
         assert p.mu - p.r - p.h == pytest.approx(0.1)
-        k_d, g_d = f_ode_coefficients(p, DERIVED)
-        k_p, g_p = f_ode_coefficients(p, PAPER)
+        k_d = f_ode_coefficients(p, DERIVED)
+        k_p = f_ode_coefficients(p, PAPER)
         assert k_d == k_p == pytest.approx(0.005, abs=1e-17)
-        assert g_d == -k_d and g_p == -k_p
 
     def test_acceptance_values(self):
-        k_d, _ = f_ode_coefficients(ACCEPT, DERIVED)
-        k_p, _ = f_ode_coefficients(ACCEPT, PAPER)
+        k_d = f_ode_coefficients(ACCEPT, DERIVED)
+        k_p = f_ode_coefficients(ACCEPT, PAPER)
         assert k_d == pytest.approx(0.02, abs=1e-15)       # 0.04^2 / (2*0.04)
         assert k_p == pytest.approx(0.0392, abs=1e-15)     # 0.04^2 * 1.96 / 0.08
 
@@ -136,7 +135,7 @@ class TestFClosedForm:
         for dt in (1e-3, 5e-4):
             ts = np.arange(dt, p.horizon_T - dt / 2, dt)
             for variant in (DERIVED, PAPER):
-                k, _ = f_ode_coefficients(p, variant)
+                k = f_ode_coefficients(p, variant)
                 f = np.array([f_closed_form(p, t, variant) for t in ts])
                 fp = (f[2:] - f[:-2]) / (2 * dt)
                 res = fp - p.h * f[1:-1] + k + p.r + p.h * p.r * (p.horizon_T - ts[1:-1])
@@ -151,7 +150,7 @@ class TestFClosedForm:
         base = dict(mu=0.08, sigma=0.2, r=0.02, horizon_T=2.0, w0=1.0)
         eps = 2e-10
         p_small = MarketParams(h=eps, **base)
-        k, _ = f_ode_coefficients(p_small, DERIVED)
+        k = f_ode_coefficients(p_small, DERIVED)
         for t in (0.0, 0.7, 1.9):
             exact = f_closed_form(p_small, t, DERIVED)
             limit = (k + p_small.r) * (p_small.horizon_T - t)
@@ -273,7 +272,7 @@ class TestClosedFormProperties:
         fh = f_closed_form(dataclasses.replace(params, h=h), t, DERIVED)
         # with K(h) = (m - h)^2 / (2 sigma^2), m = mu - r:
         # |f_h - f_0| <= |K(h) - K(0)| s + K(0) h s^2 / 2
-        k0, _ = f_ode_coefficients(p0, DERIVED)
+        k0 = f_ode_coefficients(p0, DERIVED)
         m = params.mu - params.r
         bound = h * s * (2.0 * abs(m) + h) / (2.0 * params.sigma ** 2) + 0.5 * k0 * h * s * s
         assert abs(fh - f0) <= bound + 1e-12 * (1.0 + abs(f0))

@@ -8,8 +8,8 @@ from regimehjb.hjb import (CflViolationError, GridSpec, NumericalError,
                            ValueSurface, post_hamiltonian, pre_hamiltonian,
                            solve_after, solve_pre, solve_system,
                            validate_grid_for)
-from regimehjb.model import (DefaultLossModel, MarketParams, RegimeControlProblem,
-                             merton_as_generic)
+from regimehjb.model import (ConfigError, DefaultLossModel, MarketParams,
+                             RegimeControlProblem, merton_as_generic)
 
 ACCEPT = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
 NODES = np.linspace(0.0, 3.0, 61)
@@ -74,7 +74,7 @@ class TestCfl:
 
     def test_control_nodes_outside_bounds_rejected(self):
         prob = merton_problem(control_bounds=(0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="outside the problem's control_bounds"):
             validate_grid_for(prob, small_grid(), "pre")
 
 
@@ -271,13 +271,12 @@ class TestStepGuards:
         with pytest.raises(NumericalError):
             solve_system(prob, small_grid())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_after_surface_raises(self):
         prob = merton_problem()
         grid = small_grid()
         v_after = solve_after(prob, grid).copy()
         v_after[100, 50] = np.inf
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="v_after is not finite"):
             solve_pre(prob, v_after, grid)
 
     def test_guards_never_touch_the_coupling_at_zero_hazard(self):

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regimehjb.model import (DEFAULT_CONTROL_BOUNDS, DefaultLossModel, FCurve,
-                             MarketParams, RegimeControlProblem,
+from regimehjb.model import (DEFAULT_CONTROL_BOUNDS, ConfigError, DefaultLossModel,
+                             FCurve, MarketParams, RegimeControlProblem,
                              merton_as_generic)
 
 BASE = dict(mu=0.08, sigma=0.2, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
@@ -52,9 +52,10 @@ class TestDefaultLossModel:
         assert got == pytest.approx(-0.6931471805599453, abs=1e-15)
 
     def test_linear_rejects_total_loss(self):
-        with pytest.raises(ValueError):
+        # a configuration fault wherever it is met (a config's pi or sweep.pi_hi)
+        with pytest.raises(ConfigError, match="pi < 1"):
             DefaultLossModel.LINEAR.log_wealth_drop(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="pi < 1"):
             DefaultLossModel.LINEAR.log_wealth_drop(np.array([0.2, 1.3]))
 
 
