@@ -8,7 +8,8 @@ output. verify calls the same per-route helpers as the single-route
 commands. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration
 error (wherever it is found: the schema, a CFL violation, control nodes
 outside the bounds, a linear-loss weight pi >= 1, a step size that gives no
-usable node count, a state grid with no interior window), 3 numerical error
+usable node count, a state grid with no interior window, an array too large
+to allocate, an output path that cannot be written), 3 numerical error
 (a non-finite quantity met during a solve), 4 internal error (a traceback,
 to be reported as a bug).
 """
@@ -182,9 +183,12 @@ def resolve_config(raw: dict, seed_override: int | None = None,
                                    or cfg["sweep"]["pi_lo"] >= cfg["sweep"]["pi_hi"]):
             raise ConfigError("sweep needs pi_lo < pi_hi and a positive pi_step")
     # the dataclasses and the node counts check the rest, so every command fails fast
-    build_grid(cfg)
-    build_ode(cfg)
-    build_mc(cfg)
+    grid, _, mc = build_grid(cfg), build_ode(cfg), build_mc(cfg)
+    for where, count in (("grid.n_x * (grid.n_t + 1)", grid.n_x * (grid.n_t + 1)),
+                         ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size),
+                         ("mc.n_paths", mc.n_paths)):
+        if count > _MAX_VALUES:
+            raise ConfigError(f"{where} = {count} values do not fit one array")
     return cfg
 
 
@@ -213,10 +217,14 @@ def _built(what: str, cls, **fields):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+# float64 values one numpy array can hold: its byte count must fit np.intp
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
 def _intervals(width: float, step: float, where: str) -> float:
-    """width / step, a config fault named by `where` unless it is finite and fits np.intp."""
+    """width / step, a config fault named by `where` unless finite with nodes that fit."""
     intervals = width / step
-    if not (math.isfinite(intervals) and intervals < np.iinfo(np.intp).max):
+    if not (math.isfinite(intervals) and intervals + 1 <= _MAX_VALUES):
         raise ConfigError(f"{where} gives {intervals!r} intervals")
     return intervals
 
@@ -411,9 +419,8 @@ def cmd_verify(cfg: dict) -> dict:
     value_exact = expected_log_utility_exact(params, pi_star, loss)
 
     lo, hi = cfg["control_bounds"]
-    _intervals(hi - lo, ARGMAX_GRID_STEP,
-               f"the oracle grid over control_bounds [{lo!r}, {hi!r}]")
-    argmax_grid = np.arange(lo, hi + 0.5 * ARGMAX_GRID_STEP, ARGMAX_GRID_STEP)
+    argmax_grid = _nodes(lo, hi, ARGMAX_GRID_STEP,
+                         f"the oracle grid over control_bounds [{lo!r}, {hi!r}]")
     oracle_vals = np.asarray(expected_log_utility_exact(params, argmax_grid, loss))
     argmax_dev = abs(float(argmax_grid[int(np.argmax(oracle_vals))]) - pi_star)
 
@@ -483,18 +490,21 @@ def main(argv=None) -> int:
                           variant_override=args.variant)
         report = _COMMANDS[args.command](cfg)
         out = args.out or cfg["output_path"]
-        if args.command == "sweep":
-            if not out:
-                raise ConfigError("sweep needs --out or output_path for its CSV")
-            write_sweep_csv(report, out)
-            report, out = {k: v for k, v in report.items() if k != "rows"}, None
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(render_report(report))
-        else:
+        if args.command == "sweep" and not out:
+            raise ConfigError("sweep needs --out or output_path for its CSV")
+        try:
+            if args.command == "sweep":
+                write_sweep_csv(report, out)
+                report, out = {k: v for k, v in report.items() if k != "rows"}, None
+            if out:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(render_report(report))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        if not out:
             sys.stdout.write(render_report(report))
-    except ConfigError as exc:      # CflViolationError is one
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:   # MemoryError: a size too large to allocate
+        print(f"configuration error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -51,8 +51,8 @@ class GridSpec:
 
     n_x state nodes on [x_min, x_max], n_t time steps (n_t + 1 rows),
     control_nodes ascending and inside the problem's control bounds
-    (checked when grid and problem meet, at solve time -- the CFL bound
-    needs the problem's coefficients too).
+    (checked when grid and problem meet, at solve time; every step then
+    checks the CFL bound on the coefficients it evaluated).
     """
 
     x_min: float
@@ -115,23 +115,12 @@ class ValueSurface:
             object.__setattr__(self, name, arr)
 
 
-def _max_sq_vol(problem: RegimeControlProblem, grid: GridSpec, regime: str) -> float:
-    fn = problem.vol_pre if regime == "pre" else problem.vol_post
-    x_col = grid.x_nodes[:, None]
-    u_row = grid.control_nodes[None, :]
-    # an overflowing square is inf and a NaN propagates; _check_cfl rejects both
-    with np.errstate(over="ignore"):
-        sq = [np.max(np.square(np.asarray(fn(t, x_col, u_row), dtype=float)))
-              for t in (0.0, 0.5 * problem.horizon, problem.horizon)]
-    return float(np.max(sq))
-
-
 def _check_cfl(sq: float, dt: float, dx: float, horizon: float, regime: str,
-               t: float = None) -> None:
-    """Raise unless max(vol^2) = sq (at time t, if given) is finite and dt <= dx^2 / sq."""
+               t: float) -> None:
+    """Raise unless max(vol^2) = sq at step time t is finite and dt <= dx^2 / sq."""
     if math.isfinite(sq) and not (sq > 0.0 and dt > dx ** 2 / sq):
         return
-    where = f"the {regime} regime" + ("" if t is None else f" at t={t:.6g}")
+    where = f"the {regime} regime at t={t:.6g}"
     if not math.isfinite(sq):
         raise NumericalError(f"vol is not finite for {where}")
     min_n_t = int(np.ceil(horizon * sq / dx ** 2))
@@ -142,20 +131,17 @@ def _check_cfl(sq: float, dt: float, dx: float, horizon: float, regime: str,
     )
 
 
-def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec, regime: str) -> None:
-    """Control-bounds membership plus the explicit-scheme CFL bound.
+def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
+    """Raise ConfigError unless the control nodes lie inside the control bounds.
 
-    Raises CflViolationError naming the minimal admissible n_t when
-    dt > dx^2 / max(vol^2) for the requested regime's diffusion at t = 0,
-    T/2 or T. The solvers check the bound again at every step time.
+    No coefficient is evaluated here: the solvers check the CFL bound
+    dt <= dx^2 / max(vol^2) at every step, on the coefficients of that step.
     """
     lo, hi = problem.control_bounds
     nodes = grid.control_nodes
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     if nodes[0] < lo - tol or nodes[-1] > hi + tol:
         raise ConfigError("control_nodes fall outside the problem's control_bounds")
-    _check_cfl(_max_sq_vol(problem, grid, regime), grid.dt(problem.horizon), grid.dx,
-               problem.horizon, regime)
 
 
 class _Kernel:
@@ -357,16 +343,18 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, regime: str,
                 RuntimeWarning,
             )
         policy = np.empty_like(v)
-    for i in range(grid.n_t - 1, -1, -1):
-        t = times[i + 1]
-        ham = kernel(t, v[i + 1], None if v_after is None else v_after[i + 1])
-        _check_cfl(kernel.max_sq_vol, dt, grid.dx, T, regime, t)
-        best, pick = kernel.minimize(ham)
-        np.add(v[i + 1], np.multiply(best, dt, out=best), out=v[i])
-        if not np.isfinite(v[i]).all():
-            raise NumericalError(f"the {regime} surface is not finite at t={times[i]:.6g}")
-        if policy is not None:
-            np.take(nodes, pick, out=policy[i])
+    # an overflow or a NaN reaches max_sq_vol or the row, whose checks raise on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_t - 1, -1, -1):
+            t = times[i + 1]
+            ham = kernel(t, v[i + 1], None if v_after is None else v_after[i + 1])
+            _check_cfl(kernel.max_sq_vol, dt, grid.dx, T, regime, t)
+            best, pick = kernel.minimize(ham)
+            np.add(v[i + 1], np.multiply(best, dt, out=best), out=v[i])
+            if not np.isfinite(v[i]).all():
+                raise NumericalError(f"the {regime} surface is not finite at t={times[i]:.6g}")
+            if policy is not None:
+                np.take(nodes, pick, out=policy[i])
     if policy is not None:
         # the terminal row's Hamiltonian is the one the first step minimized
         policy[-1] = policy[-2]
@@ -379,7 +367,7 @@ def solve_after(problem: RegimeControlProblem, grid: GridSpec) -> np.ndarray:
     Each step reads the known later row: v[i] = v[i+1] + dt * min_u H,
     with coefficients evaluated at the known row's time.
     """
-    validate_grid_for(problem, grid, "post")
+    validate_grid_for(problem, grid)
     return _march(problem, grid, "post")[0]
 
 
@@ -392,7 +380,7 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     smallest control), and the terminal row's policy is the minimizer of
     the Hamiltonian evaluated on the terminal data itself.
     """
-    validate_grid_for(problem, grid, "pre")
+    validate_grid_for(problem, grid)
     v_after = np.asarray(v_after, dtype=float)
     if v_after.shape != (grid.n_t + 1, grid.n_x):
         raise ValueError("v_after was not produced on this grid")
@@ -406,7 +394,7 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
 def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     """Post-switch solve followed by the coupled pre-switch solve.
 
-    Each regime is validated once, just before its own stepping.
+    Each solve checks the control nodes; its steps check CFL and finiteness.
     """
     v_after = solve_after(problem, grid)
     v_pre, policy = solve_pre(problem, v_after, grid)

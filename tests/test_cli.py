@@ -31,13 +31,19 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
-def run_cli_warnings_as_errors(*args):
-    """Run the CLI in a fresh interpreter where any RuntimeWarning is an error."""
+def run_cli_warnings_as_errors(*args, allow=None):
+    """Run the CLI in a fresh interpreter where any RuntimeWarning is an error.
+
+    A warning whose message starts with `allow` is printed instead.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-W", "error::RuntimeWarning"]
+    if allow:
+        flags += ["-W", f"default:{allow}:RuntimeWarning"]
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regimehjb.cli", *args],
+        [sys.executable, *flags, "-m", "regimehjb.cli", *args],
         capture_output=True, text=True, env=env, check=False)
 
 
@@ -268,11 +274,24 @@ class TestCommandLine:
     def test_overflowing_vol_is_a_numerical_error_without_warnings(self, tmp_path,
                                                                    command):
         cfg = base_config()
-        cfg["market"]["sigma"] = 1e200     # vol^2 overflows in the CFL check
+        cfg["market"]["sigma"] = 1e200     # vol^2 overflows in the first pre step
         path = write_config(tmp_path, cfg)
         run = run_cli_warnings_as_errors(command, "--config", path)
         assert (run.returncode, run.stdout) == (3, "")
-        assert run.stderr == "numerical error: vol is not finite for the pre regime\n"
+        assert run.stderr == "numerical error: vol is not finite for the pre regime at t=1\n"
+
+    @pytest.mark.parametrize("command", ["hjb-solve", "verify"])
+    def test_overflowing_coupling_warns_only_of_hazard_dt(self, tmp_path, command):
+        cfg = base_config()
+        cfg["market"]["h"] = 5000.0        # h dt = 5: the coupling term overflows
+        cfg["grid"]["n_t"] = 1000
+        path = write_config(tmp_path, cfg)
+        run = run_cli_warnings_as_errors(command, "--config", path, allow="hazard*dt")
+        assert (run.returncode, run.stdout) == (3, "")
+        warned = [line for line in run.stderr.splitlines() if "Warning: " in line]
+        assert len(warned) == 1 and "RuntimeWarning: hazard*dt = 5 > 0.1" in warned[0]
+        assert run.stderr.endswith("\nnumerical error: the pre surface is not finite "
+                                   "at t=0.487\n")
 
     def test_single_antithetic_pair_is_a_configuration_error(self, tmp_path, capsys):
         cfg = base_config()
@@ -353,6 +372,13 @@ class TestUnusableSteps:
         ("closed-form", {"control_bounds": [0, INF]}, "control_bounds"),
         ("verify", {"control_bounds": [0, INF], "grid": dict(GRID, control_nodes=[0.0, 1.0])},
          "control_bounds"),
+        # counts numpy cannot hold in one array, rejected before any allocation
+        ("closed-form", {"grid": dict(GRID, control_step=1e-18)}, "grid.control_step"),
+        ("hjb-solve", {"grid": dict(GRID, n_x=2 ** 62)}, "grid.n_x"),
+        ("hjb-solve", {"grid": dict(GRID, n_t=2 ** 58)}, "grid.n_t"),
+        ("hjb-solve", {"grid": dict(GRID, n_x=2 ** 50, n_t=1, control_step=1e-4)},
+         "control nodes"),
+        ("mc-estimate", {"mc": {"n_paths": 2 ** 62}}, "mc.n_paths"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, capsys, command, over, key):
         path = write_config(tmp_path, base_config(**over))
@@ -386,6 +412,43 @@ class TestErrorContract:
         assert captured.out == ""
         assert captured.err.startswith("Traceback (most recent call last):")
         assert type(exc).__name__ in captured.err and "configuration error" not in captured.err
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_a_configuration_error(self, tmp_path, capsys, monkeypatch,
+                                                   exc, message):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_f_backward", broken)
+        path = write_config(tmp_path, base_config())
+        assert cli.main(["ode-check", "--config", path]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
+    @pytest.mark.parametrize("via", ["--out", "output_path"])
+    @pytest.mark.parametrize("command", ["closed-form", "sweep"])
+    def test_unwritable_output_is_a_configuration_error(self, tmp_path, capsys,
+                                                        command, via):
+        out = str(tmp_path / "missing" / "report")
+        cfg = base_config(sweep={"pi_lo": 0.5, "pi_hi": 1.5, "pi_step": 0.5})
+        if via == "output_path":
+            cfg["output_path"] = out
+        args = [command, "--config", write_config(tmp_path, cfg)]
+        assert cli.main(args + (["--out", out] if via == "--out" else [])) == 2
+        assert capsys.readouterr() == (
+            "", f"configuration error: cannot write {out}: No such file or directory\n")
+
+    def test_oracle_grid_ends_at_the_upper_control_bound(self, tmp_path, capsys):
+        # a grid past u_hi = 0.9996 would reach pi = 1, where linear loss is
+        # undefined; verify then fails its gates (exit 1) as linear loss does
+        cfg = base_config(loss_mode="linear", control_bounds=[0.0, 0.9996])
+        cfg["market"]["mu"] = 0.06
+        cfg["grid"].update(x_min=-14.0, x_max=4.0)
+        assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        gates = {g["name"]: g for g in json.loads(capsys.readouterr().out)["gates"]}
+        assert not gates["oracle_argmax"]["pass"]
 
     @pytest.mark.parametrize("command, over", [
         ("mc-estimate", {"pi": 1.5}),

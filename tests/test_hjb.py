@@ -53,29 +53,46 @@ class TestGridSpec:
 class TestCfl:
     def test_violation_names_minimal_n_t(self):
         prob = merton_problem()
-        grid = small_grid(n_x=801, n_t=100)  # dx=0.01, max vol^2=0.36 -> n_t ~ 3600
+
+        def grid(n_t):  # dx = 0.01; the one control 3 gives max vol^2 = 0.36
+            return GridSpec(x_min=-4.0, x_max=4.0, n_x=801, n_t=n_t,
+                            control_nodes=np.array([3.0]))
+
         with pytest.raises(CflViolationError) as exc:
-            solve_pre(prob, np.zeros((101, 801)), grid)
+            solve_pre(prob, np.zeros((101, 801)), grid(100))
         n_min = exc.value.min_n_t
         assert n_min in (3600, 3601)  # fp wobble of the ratio decides the ulp
-        assert str(n_min) in str(exc.value)
-        # the suggested n_t is sufficient and minimal under the same comparison
-        ok = GridSpec(x_min=-4.0, x_max=4.0, n_x=801, n_t=n_min, control_nodes=NODES)
-        validate_grid_for(prob, ok, "pre")
-        bad = GridSpec(x_min=-4.0, x_max=4.0, n_x=801, n_t=n_min - 1,
-                       control_nodes=NODES)
+        assert str(n_min) in str(exc.value) and "at t=1:" in str(exc.value)
+        # the step check passes the suggested n_t and rejects one step fewer
+        solve_pre(prob, np.zeros((n_min + 1, 801)), grid(n_min))
         with pytest.raises(CflViolationError):
-            validate_grid_for(prob, bad, "pre")
+            solve_pre(prob, np.zeros((n_min, 801)), grid(n_min - 1))
 
     def test_post_regime_without_diffusion_is_unconstrained(self):
         prob = merton_problem()
         grid = small_grid(n_x=801, n_t=10)  # would badly violate the pre bound
-        validate_grid_for(prob, grid, "post")
+        assert np.isfinite(solve_after(prob, grid)).all()
+
+    def test_validate_grid_for_evaluates_no_coefficient(self):
+        def forbidden(t, x, u):
+            raise AssertionError("a coefficient was evaluated")
+
+        prob = dataclasses.replace(merton_problem(), vol_pre=forbidden, vol_post=forbidden)
+        validate_grid_for(prob, small_grid())
+
+    def test_vol_breaking_the_bound_only_at_t0_solves(self):
+        # no step evaluates a coefficient at t = 0, so no step sees the bad vol
+        base = merton_problem()
+        prob = dataclasses.replace(
+            base, vol_pre=lambda t, x, u: u * ACCEPT.sigma * (50.0 if t == 0.0 else 1.0))
+        surf, ref = solve_system(prob, small_grid()), solve_system(base, small_grid())
+        np.testing.assert_array_equal(surf.v_pre, ref.v_pre)
+        np.testing.assert_array_equal(surf.policy, ref.policy)
 
     def test_control_nodes_outside_bounds_rejected(self):
         prob = merton_problem(control_bounds=(0.0, 1.0))
         with pytest.raises(ConfigError, match="outside the problem's control_bounds"):
-            validate_grid_for(prob, small_grid(), "pre")
+            validate_grid_for(prob, small_grid())
 
 
 class TestSolveAfter:
@@ -236,7 +253,7 @@ class TestSolveSystem:
 
 class TestStepGuards:
     def test_vol_spike_between_sampled_times_violates_cfl(self):
-        # a narrow vol spike at t = 0.25 is invisible at t in {0, T/2, T}
+        # a narrow vol spike at t = 0.25, seen only by the steps near it
         base = merton_problem()
 
         def spiky(t, x, u):
@@ -244,7 +261,6 @@ class TestStepGuards:
 
         prob = dataclasses.replace(base, vol_pre=spiky)
         grid = small_grid()  # dt = 0.005, dx = 0.08; a step lands on t = 0.25
-        validate_grid_for(prob, grid, "pre")
         with pytest.raises(CflViolationError) as exc:
             solve_system(prob, grid)
         # stepping backward from T, the first step time whose own max(vol^2)
@@ -265,7 +281,6 @@ class TestStepGuards:
         ("running_cost", lambda t, x, u: np.inf if t < 0.5 else 0.0),
         ("drift_post", lambda t, x, u: np.where(t < 0.5, np.inf, 0.02)),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_coefficient_raises(self, field, bad):
         prob = dataclasses.replace(merton_problem(), **{field: bad})
         with pytest.raises(NumericalError):
