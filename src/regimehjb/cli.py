@@ -6,7 +6,8 @@ reports: JSON for summaries, CSV for tables. Every report embeds the fully
 resolved configuration so a run can be reproduced bit-for-bit from its own
 output. verify calls the same per-route helpers as the single-route
 commands. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration
-error (wherever it is found: the schema, a CFL violation, control nodes
+error (wherever it is found: the schema, an integer too large for a float,
+a non-finite pi, state grid or control node, a CFL violation, control nodes
 outside the bounds, a linear-loss weight pi >= 1, a step size that gives no
 usable node count, a state grid with no interior window, an array too large
 to allocate, an output path that cannot be written), 3 numerical error
@@ -128,12 +129,15 @@ def _walk(raw: dict, cfg: dict):
         if key in given:
             value = given[key]
             test, what = _KINDS.get(kind) or (kind.__contains__, f"one of {sorted(kind)}")
+            name = f"{section or 'config'}.{key}" if section or kind not in _KINDS else key
             if not test(value):
-                name = f"{section or 'config'}.{key}" if section or kind not in _KINDS else key
                 raise ConfigError(f"{name} must be {what}")
             if kind != "integer":      # every other number resolves to a float
-                value = ([float(v) for v in value] if isinstance(value, list)
-                         else float(value) if _is_number(value) else value)
+                try:
+                    value = ([float(v) for v in value] if isinstance(value, list)
+                             else float(value) if _is_number(value) else value)
+                except OverflowError:
+                    raise ConfigError(f"{name} has an integer too large for a float") from None
             out[key] = value
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' in {section}" if section in raw
@@ -176,6 +180,8 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             raise ConfigError("grid.control_step must be positive")
         elif key == "antithetic" and seed_override is not None:
             cfg["mc"]["seed"] = seed_override
+        elif key == "pi" and cfg["pi"] is not None and not math.isfinite(cfg["pi"]):
+            raise ConfigError("pi must be a finite number or null")
         elif key == "report_times" and not all(
                 0.0 <= t <= cfg["market"]["horizon_T"] for t in cfg["report_times"]):
             raise ConfigError("report_times must lie inside [0, horizon_T]")

@@ -16,9 +16,9 @@ broadcasts to (a control-only drift stays one row, a constant post-switch
 regime one column), writes every mesh-sized temporary into buffers reused
 across steps, and reads the post-switch surface at the jump targets
 through a cached (index, offset) stencil that reproduces np.interp bit for
-bit; the stencil is rebuilt only when the targets change. Each step also
-checks the CFL bound on the coefficients it evaluated and that the new row
-is finite.
+bit; the stencil is rebuilt only when the targets change. Its step method
+takes a whole backward step and checks the CFL bound on the coefficients it
+evaluated; the loop around it checks that each new row is finite.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class CflViolationError(ConfigError):
 class GridSpec:
     """Uniform time/state grid plus the discrete control set.
 
-    n_x state nodes on [x_min, x_max], n_t time steps (n_t + 1 rows),
-    control_nodes ascending and inside the problem's control bounds
+    n_x state nodes on a finite [x_min, x_max], n_t time steps (n_t + 1
+    rows), control_nodes finite, ascending and inside the control bounds
     (checked when grid and problem meet, at solve time; every step then
     checks the CFL bound on the coefficients it evaluated).
     """
@@ -64,6 +64,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        if not math.isfinite(self.x_max - self.x_min):    # and so is dx
+            raise ValueError("x_min, x_max and x_max - x_min must be finite")
         if self.n_x < 3:
             raise ValueError("need at least 3 state nodes")
         if self.n_t < 1:
@@ -73,6 +75,8 @@ class GridSpec:
             raise ValueError("control_nodes must be a non-empty 1-D array")
         if nodes.size > 1 and not np.all(np.diff(nodes) > 0.0):
             raise ValueError("control_nodes must be strictly ascending")
+        if not np.isfinite(nodes).all():
+            raise ValueError("control_nodes must be finite")
         nodes.setflags(write=False)
         object.__setattr__(self, "control_nodes", nodes)
 
@@ -115,22 +119,6 @@ class ValueSurface:
             object.__setattr__(self, name, arr)
 
 
-def _check_cfl(sq: float, dt: float, dx: float, horizon: float, regime: str,
-               t: float) -> None:
-    """Raise unless max(vol^2) = sq at step time t is finite and dt <= dx^2 / sq."""
-    if math.isfinite(sq) and not (sq > 0.0 and dt > dx ** 2 / sq):
-        return
-    where = f"the {regime} regime at t={t:.6g}"
-    if not math.isfinite(sq):
-        raise NumericalError(f"vol is not finite for {where}")
-    min_n_t = int(np.ceil(horizon * sq / dx ** 2))
-    raise CflViolationError(
-        f"CFL violation for {where}: dt={dt:.3e} exceeds "
-        f"dx^2/max(vol^2)={dx ** 2 / sq:.3e}; need n_t >= {min_n_t}",
-        min_n_t=min_n_t,
-    )
-
-
 def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
     """Raise ConfigError unless the control nodes lie inside the control bounds.
 
@@ -145,17 +133,18 @@ def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
 
 
 class _Kernel:
-    """Discrete Hamiltonian of one regime, built once per solve.
+    """Discrete Hamiltonian and backward step of one regime, built once per solve.
 
-    Calling it returns the Hamiltonian in the shape its terms broadcast to
-    ((n_x, 1) when nothing depends on the control, else (n_x, n_u)). The
-    result lives in a reused buffer and is overwritten by the next call.
-    Operations run in the same order as a plain full-mesh evaluation, so
-    results are bitwise those of np.where/np.interp on broadcast arrays.
+    Calling it returns max(vol^2) and the Hamiltonian, in the shape its terms
+    broadcast to ((n_x, 1) when nothing depends on the control, else
+    (n_x, n_u)) and in a buffer the next call overwrites. Operations run in
+    the same order as a plain full-mesh evaluation, so results are bitwise
+    those of np.where/np.interp on broadcast arrays.
     """
 
     def __init__(self, problem: RegimeControlProblem, grid: GridSpec, regime: str):
         pre = regime == "pre"
+        self.where = f"the {regime} regime"
         self.drift = problem.drift_pre if pre else problem.drift_post
         self.vol = problem.vol_pre if pre else problem.vol_post
         self.cost = problem.running_cost
@@ -167,7 +156,8 @@ class _Kernel:
         self.u_row = grid.control_nodes[None, :]
         self.mesh = (grid.n_x, grid.control_nodes.size)
         self.dx = grid.dx
-        self.max_sq_vol = 0.0    # max(vol^2) of the last call
+        self.horizon = problem.horizon
+        self.dt = grid.dt(problem.horizon)
         n_x = grid.n_x
         # grad[:-1] is the backward, grad[1:] the forward first difference
         self._grad = np.empty(n_x + 1)
@@ -254,7 +244,7 @@ class _Kernel:
         return np.multiply(out, self.hazard, out=out)
 
     def __call__(self, t: float, v_row: np.ndarray,
-                 v_after_row: np.ndarray = None) -> np.ndarray:
+                 v_after_row: np.ndarray = None) -> Tuple[np.ndarray, float]:
         drift = self._coeff(self.drift, t)
         vol = self._coeff(self.vol, t)
         cost = self._coeff(self.cost, t)
@@ -273,24 +263,37 @@ class _Kernel:
         np.multiply(half_sq, vol, out=half_sq)
         # (0.5 vol) vol = 0.5 vol^2 exactly unless it underflows, where the
         # bound is moot
-        self.max_sq_vol = 2.0 * float(half_sq.max())
+        sq = 2.0 * float(half_sq.max())
         diffusion = np.multiply(half_sq, self._d2[:, None], out=self._buf("diffusion", shape))
         np.add(ham, diffusion, out=ham)
         np.add(ham, cost, out=ham)
         if jump is not None:
             np.add(ham, jump, out=ham)
-        return ham
+        return ham, sq
 
-    def minimize(self, ham: np.ndarray):
-        """Per-node minimum of ham over controls and its first minimizer.
+    def step(self, t: float, v_next: np.ndarray, v_after_next: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        """out = v_next + dt * min_u H(t); returns the first minimizer per node.
 
-        The minimum is read at argmin, which is cheaper than a second
-        reduction and returns the same value.
+        Raises unless max(vol^2) = sq at t is finite and dt <= dx^2 / sq. The
+        minimum is read at argmin, which is cheaper than a second reduction
+        and returns the same value.
         """
+        ham, sq = self(t, v_next, v_after_next)
+        if not math.isfinite(sq):
+            raise NumericalError(f"vol is not finite for {self.where} at t={t:.6g}")
+        if sq > 0.0 and self.dt > self.dx ** 2 / sq:
+            min_n_t = int(np.ceil(self.horizon * sq / self.dx ** 2))
+            raise CflViolationError(f"CFL violation for {self.where} at t={t:.6g}: "
+                                    f"dt={self.dt:.3e} exceeds dx^2/max(vol^2)="
+                                    f"{self.dx ** 2 / sq:.3e}; need n_t >= {min_n_t}",
+                                    min_n_t=min_n_t)
         pick = ham.argmin(axis=1, out=self._pick)
         flat = np.multiply(self._rows, ham.shape[1], out=self._flat)
         np.add(flat, pick, out=flat)
-        return np.take(ham, flat, out=self._best, mode="clip"), pick
+        best = np.take(ham, flat, out=self._best, mode="clip")
+        np.add(v_next, np.multiply(best, self.dt, out=best), out=out)
+        return pick
 
 
 def _full_mesh(ham: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -300,7 +303,7 @@ def _full_mesh(ham: np.ndarray, grid: GridSpec) -> np.ndarray:
 def post_hamiltonian(problem: RegimeControlProblem, grid: GridSpec, t: float,
                      v_row: np.ndarray) -> np.ndarray:
     """Discrete post-switch Hamiltonian on the (state, control) mesh."""
-    return _full_mesh(_Kernel(problem, grid, "post")(t, v_row), grid)
+    return _full_mesh(_Kernel(problem, grid, "post")(t, v_row)[0], grid)
 
 
 def pre_hamiltonian(problem: RegimeControlProblem, grid: GridSpec, t: float,
@@ -312,49 +315,38 @@ def pre_hamiltonian(problem: RegimeControlProblem, grid: GridSpec, t: float,
     node. With zero hazard the coupling (and the jump map) is never
     evaluated, so the pre solve is bitwise independent of the post regime.
     """
-    return _full_mesh(_Kernel(problem, grid, "pre")(t, v_pre_row, v_after_row), grid)
+    return _full_mesh(_Kernel(problem, grid, "pre")(t, v_pre_row, v_after_row)[0], grid)
 
 
-def _terminal_row(problem: RegimeControlProblem, grid: GridSpec) -> np.ndarray:
-    row = np.asarray(problem.terminal_cost(grid.x_nodes), dtype=float)
-    return np.broadcast_to(row, (grid.n_x,)).copy()
-
-
-def _march(problem: RegimeControlProblem, grid: GridSpec, regime: str,
-           v_after: np.ndarray = None):
+def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = None):
     """Backward explicit steps v[i] = v[i+1] + dt * min_u H, H read at t[i+1].
 
-    Returns (v, policy); the policy (see solve_pre) is None for the post
-    regime, which is the one called without v_after.
+    Returns (v, policy); policy is None for the post regime, called without v_after.
     """
+    regime = "post" if v_after is None else "pre"
     kernel = _Kernel(problem, grid, regime)
-    T = problem.horizon
-    dt = grid.dt(T)
-    times = grid.times(T)
-    nodes = grid.control_nodes
+    times = grid.times(problem.horizon)
     v = np.empty((grid.n_t + 1, grid.n_x))
-    v[-1] = _terminal_row(problem, grid)
+    v[-1] = problem.terminal_cost(grid.x_nodes)
     policy = None
     if v_after is not None:
-        if problem.hazard * dt > HAZARD_DT_WARN:
+        hazard_dt = problem.hazard * grid.dt(problem.horizon)
+        if hazard_dt > HAZARD_DT_WARN:
             warnings.warn(
-                f"hazard*dt = {problem.hazard * dt:.3g} > {HAZARD_DT_WARN}; the one-step "
+                f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
                 "switch probability is too coarse for the explicit coupling",
                 RuntimeWarning,
             )
         policy = np.empty_like(v)
-    # an overflow or a NaN reaches max_sq_vol or the row, whose checks raise on it
+    # an overflow or a NaN reaches max(vol^2) or the row, whose checks raise on it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_t - 1, -1, -1):
-            t = times[i + 1]
-            ham = kernel(t, v[i + 1], None if v_after is None else v_after[i + 1])
-            _check_cfl(kernel.max_sq_vol, dt, grid.dx, T, regime, t)
-            best, pick = kernel.minimize(ham)
-            np.add(v[i + 1], np.multiply(best, dt, out=best), out=v[i])
+            pick = kernel.step(times[i + 1], v[i + 1],
+                               None if v_after is None else v_after[i + 1], v[i])
             if not np.isfinite(v[i]).all():
                 raise NumericalError(f"the {regime} surface is not finite at t={times[i]:.6g}")
             if policy is not None:
-                np.take(nodes, pick, out=policy[i])
+                np.take(grid.control_nodes, pick, out=policy[i])
     if policy is not None:
         # the terminal row's Hamiltonian is the one the first step minimized
         policy[-1] = policy[-2]
@@ -368,7 +360,7 @@ def solve_after(problem: RegimeControlProblem, grid: GridSpec) -> np.ndarray:
     with coefficients evaluated at the known row's time.
     """
     validate_grid_for(problem, grid)
-    return _march(problem, grid, "post")[0]
+    return _march(problem, grid)[0]
 
 
 def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
@@ -388,7 +380,7 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     # RuntimeWarning; min and max need no mesh-sized temporary
     if not (math.isfinite(v_after.min()) and math.isfinite(v_after.max())):
         raise NumericalError("v_after is not finite")
-    return _march(problem, grid, "pre", v_after)
+    return _march(problem, grid, v_after)
 
 
 def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:

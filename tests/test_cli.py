@@ -379,6 +379,19 @@ class TestUnusableSteps:
         ("hjb-solve", {"grid": dict(GRID, n_x=2 ** 50, n_t=1, control_step=1e-4)},
          "control nodes"),
         ("mc-estimate", {"mc": {"n_paths": 2 ** 62}}, "mc.n_paths"),
+        # non-finite grids, control nodes and pi
+        *(("hjb-solve", {"grid": dict(GRID, **bad)}, "x_min")
+          for bad in ({"x_min": -INF}, {"x_max": INF}, {"x_min": -1e308, "x_max": 1e308})),
+        ("hjb-solve", {"grid": dict(GRID, control_nodes=[float("nan")])}, "control_nodes"),
+        ("hjb-solve", {"control_bounds": [0, INF],
+                       "grid": dict(GRID, control_nodes=[0.0, INF])}, "control_nodes"),
+        *(("mc-estimate", {"pi": pi}, "pi") for pi in (float("nan"), INF, -INF)),
+        # integers too large for a float, alone and in lists
+        ("closed-form", {"market": dict(ACCEPT_MARKET, mu=10 ** 400)}, "market.mu"),
+        ("closed-form", {"grid": dict(GRID, control_nodes=[0.0, 10 ** 400])},
+         "grid.control_nodes"),
+        ("closed-form", {"report_times": [0.0, 10 ** 400]}, "report_times"),
+        ("closed-form", {"control_bounds": [0, 10 ** 400]}, "control_bounds"),
     ])
     def test_exit_2_naming_the_key(self, tmp_path, capsys, command, over, key):
         path = write_config(tmp_path, base_config(**over))
@@ -386,6 +399,14 @@ class TestUnusableSteps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: ") and key in captured.err
+
+    @pytest.mark.parametrize("command",
+                             ["closed-form", "ode-check", "hjb-solve", "mc-estimate"])
+    def test_infinite_control_bound_with_explicit_nodes_runs(self, tmp_path, command):
+        cfg = base_config(control_bounds=[0, INF],
+                          grid=dict(GRID, control_nodes=[0.0, 1.0, 2.0]))
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_empty_interior_window_is_a_configuration_error(self, tmp_path, capsys):
         cfg = base_config()

@@ -37,6 +37,11 @@ class TestGridSpec:
         dict(control_nodes=np.array([])),
         dict(control_nodes=np.array([0.5, 0.5])),
         dict(control_nodes=np.array([[0.1, 0.2]])),
+        dict(x_min=-np.inf),
+        dict(x_max=np.inf),
+        dict(x_min=-1e308, x_max=1e308),    # dx overflows
+        dict(control_nodes=np.array([np.nan])),
+        dict(control_nodes=np.array([0.0, np.inf])),
     ])
     def test_rejects_invalid(self, kw):
         base = dict(x_min=-4.0, x_max=4.0, n_x=101, n_t=200, control_nodes=NODES)
@@ -67,6 +72,24 @@ class TestCfl:
         solve_pre(prob, np.zeros((n_min + 1, 801)), grid(n_min))
         with pytest.raises(CflViolationError):
             solve_pre(prob, np.zeros((n_min, 801)), grid(n_min - 1))
+
+    def test_post_violation_is_labelled_post(self):
+        # the regime is told by the absence of v_after; dx = 0.01 and a post
+        # vol of 0.6 need n_t >= 0.36 / dx^2
+        prob = dataclasses.replace(merton_problem(),
+                                   vol_post=lambda t, x, u: np.full_like(x, 0.6))
+
+        def grid(n_t):
+            return GridSpec(x_min=-4.0, x_max=4.0, n_x=801, n_t=n_t,
+                            control_nodes=np.array([3.0]))
+
+        with pytest.raises(CflViolationError, match="for the post regime at t=1:") as exc:
+            solve_after(prob, grid(100))
+        n_min = exc.value.min_n_t
+        assert n_min in (3600, 3601) and f"need n_t >= {n_min}" in str(exc.value)
+        assert np.isfinite(solve_after(prob, grid(n_min))).all()
+        with pytest.raises(CflViolationError, match="post regime"):
+            solve_after(prob, grid(n_min - 1))
 
     def test_post_regime_without_diffusion_is_unconstrained(self):
         prob = merton_problem()
@@ -285,6 +308,12 @@ class TestStepGuards:
         prob = dataclasses.replace(merton_problem(), **{field: bad})
         with pytest.raises(NumericalError):
             solve_system(prob, small_grid())
+
+    def test_overflowing_post_surface_is_labelled_post(self):
+        prob = dataclasses.replace(merton_problem(),
+                                   running_cost=lambda t, x, u: np.full_like(x, 1e308))
+        with pytest.raises(NumericalError, match="^the post surface is not finite at t="):
+            solve_after(prob, small_grid())
 
     def test_non_finite_after_surface_raises(self):
         prob = merton_problem()
