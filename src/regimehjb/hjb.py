@@ -68,6 +68,9 @@ class GridSpec:
             raise ValueError("x_min, x_max and x_max - x_min must be finite")
         if self.n_x < 3:
             raise ValueError("need at least 3 state nodes")
+        if not 0.0 < self.dx * self.dx < math.inf:       # the scheme divides by dx^2
+            raise ValueError(f"x_min, x_max and n_x give a node spacing dx={self.dx!r} "
+                             "whose square is not a finite positive float")
         if self.n_t < 1:
             raise ValueError("need at least 1 time step")
         nodes = np.asarray(self.control_nodes, dtype=float)

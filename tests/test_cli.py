@@ -415,6 +415,17 @@ class TestUnusableSteps:
         assert cli.main(["hjb-solve", "--config", path]) == 2
         assert "x_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_min, x_max", [(-1e160, 1e160), (0.0, 1e-320)],
+                             ids=["dx-squared-overflows", "dx-squared-underflows"])
+    def test_node_spacing_with_unusable_square_exits_2_without_warnings(self, tmp_path,
+                                                                         x_min, x_max):
+        path = write_config(tmp_path, base_config(grid=dict(GRID, x_min=x_min, x_max=x_max)))
+        run = run_cli_warnings_as_errors("hjb-solve", "--config", path)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("configuration error: invalid grid section: ")
+        assert "dx" in run.stderr and len(run.stderr.splitlines()) == 1
+        assert "Warning" not in run.stderr
+
 
 class TestErrorContract:
     """Exit 2 for every configuration fault wherever it is found, 3 for a

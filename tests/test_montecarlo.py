@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from strategies import interior_optimum_markets, losses, markets, policy
 from regimehjb import montecarlo
 from regimehjb.closedform import (expected_log_utility_exact, optimal_weight,
                                   policy_log_drift)
-from regimehjb.model import DefaultLossModel, MarketParams, NumericalError
+from regimehjb.model import ConfigError, DefaultLossModel, MarketParams, NumericalError
 from regimehjb.montecarlo import (McConfig, McEstimate, _in_threads, estimate,
                                   sample_default_time,
                                   simulate_terminal_log_wealth, sweep)
@@ -252,17 +253,21 @@ def _assert_bitwise_sweep(params, loss, pi_grid, cfg):
 GRIDS = {EXP: [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0],
          LIN: [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]}
 
-# (n_paths, antithetic): tiny, odd, large, and around numpy's ufunc buffer
-# of 8192 elements
+# (n_paths, antithetic): tiny, odd, large, around numpy's ufunc buffer of
+# 8192 elements, around one leaf of the sweep's reduction, and a size whose
+# n/2 tree of antithetic pair averages has leaves that straddle those of
+# its n tree
 UFUNC_BUFFER = 8192
+LEAF = montecarlo._LEAF_PATHS
 PATH_CASES = [(2, False), (7, False), (100_001, False), (200_000, False),
               (200_000, True), (UFUNC_BUFFER - 1, False), (UFUNC_BUFFER, False),
-              (UFUNC_BUFFER, True), (UFUNC_BUFFER + 1, False)]
+              (UFUNC_BUFFER, True), (UFUNC_BUFFER + 1, False),
+              (LEAF - 1, False), (LEAF, False), (LEAF + 1, False), (131_088, True)]
 
 
 class _WorkerSpy:
     """Forces the sweep's worker count through _MAX_WORKERS and the CPU
-    affinity, and records the threads that summarize a policy."""
+    affinity, and records the threads that reduce policies."""
 
     def __init__(self, monkeypatch, max_workers, cpus):
         monkeypatch.setattr(montecarlo, "_MAX_WORKERS", max_workers)
@@ -270,13 +275,13 @@ class _WorkerSpy:
                             lambda pid: set(range(cpus)), raising=False)
         self.cap = min(max_workers, cpus)
         self.threads = set()
-        summarize = montecarlo._summarize
+        reduce_policies = montecarlo._reduce_policies
 
-        def spy(vals, cfg):
+        def spy(*args):
             self.threads.add(threading.current_thread())
-            return summarize(vals, cfg)
+            return reduce_policies(*args)
 
-        monkeypatch.setattr(montecarlo, "_summarize", spy)
+        monkeypatch.setattr(montecarlo, "_reduce_policies", spy)
 
 
 # (_MAX_WORKERS, CPUs): one CPU; two threads; more threads than the seven
@@ -346,6 +351,75 @@ class TestSweepReferenceEquivalence:
         assert z.tolist() == [0.5, -1.0] and tau.tolist() == [3.0, 0.5]
 
 
+class TestLeafwiseReduction:
+    # every size up to 1100, then log-spaced sizes up to 2.1e6
+    SIZES = list(range(1, 1101)) + sorted({int(v) for v in np.geomspace(1101, 2.1e6, 120)})
+
+    @pytest.mark.parametrize("cap", [128, 4096, 65536])
+    def test_leaf_sums_fold_to_numpys_sum_bit_for_bit(self, cap):
+        # the sweep's means and spreads rest on this; a numpy that changes its
+        # reduction must fail here, not change report bytes
+        rng = np.random.Generator(np.random.Philox(key=cap))
+        data = rng.standard_normal(self.SIZES[-1]) * 10.0 ** rng.integers(-8, 9, self.SIZES[-1])
+        for n in self.SIZES:
+            x, leaves = data[:n], []
+
+            def leaf_sum(lo, hi):
+                leaves.append((lo, hi))
+                return np.add.reduce(x[lo:hi])
+
+            got = montecarlo._tree_sum(n, cap, leaf_sum)
+            assert got.tobytes() == np.add.reduce(x).tobytes(), n
+            assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+            assert leaves[-1][1] == n and all(hi - lo <= cap for lo, hi in leaves)
+
+    def test_straddling_antithetic_trees(self):
+        # the pair-average tree's leaves (in paths) straddle the path tree's
+        def leaf_ends(n_units, cap, width):
+            ends = set()
+
+            def record(lo, hi):
+                ends.add(width * hi)
+                return 0.0
+
+            montecarlo._tree_sum(n_units, cap, record)
+            return ends
+
+        assert leaf_ends(131_088 // 2, LEAF // 2, 2) - leaf_ends(131_088, LEAF, 1)
+
+    def test_default_times_are_drawn_on_the_callers_thread(self, monkeypatch):
+        # tracers wrap the public functions with one span stack
+        threads = []
+        draw = montecarlo.sample_default_time
+
+        def spy(h, u):
+            threads.append(threading.current_thread())
+            return draw(h, u)
+
+        monkeypatch.setattr(montecarlo, "sample_default_time", spy)
+        _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=3 * LEAF + 5, seed=4))
+        assert len(threads) == 4 and set(threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_peak_memory_is_the_normals_and_a_few_leaves(self, monkeypatch, max_workers,
+                                                         antithetic):
+        # the resident normals (8 bytes a path), and per worker a leaf buffer
+        # and a scratch for one leaf's defaulted paths; a whole-array
+        # temporary would add 8 bytes a path
+        _WorkerSpy(monkeypatch, max_workers, cpus=2)
+        n_paths = 400_000
+        cfg = McConfig(n_paths=n_paths, seed=3, antithetic=antithetic)
+        tracemalloc.start()
+        try:
+            sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_paths * 1.25 + 4 * 2 ** 20
+
+
 class TestNonFiniteEstimates:
     def test_overflowing_sigma_squared_is_a_numerical_error(self):
         params = MarketParams(mu=0.08, sigma=1e200, r=0.02, h=0.02,
@@ -361,6 +435,20 @@ class TestNonFiniteEstimates:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="pi=3.0"):
                 sweep(params, EXP, [0.0, 3.0], McConfig(n_paths=100, seed=0))
+
+    @pytest.mark.parametrize("max_workers", [1, 2, 16])
+    def test_a_policy_without_a_law_fails_after_the_policies_below_it(self, monkeypatch,
+                                                                     max_workers):
+        # linear loss has no law at pi >= 1; a lower non-finite policy is
+        # still the one reported, and otherwise the first pi >= 1 is
+        _WorkerSpy(monkeypatch, max_workers, cpus=16)
+        grid = [0.0, 0.5, 0.9, 1.0, 1.5]
+        cfg = McConfig(n_paths=100, seed=0)
+        wild = MarketParams(mu=0.08, sigma=1e154, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
+        with pytest.raises(NumericalError, match=r"pi=0\.5 is"):
+            sweep(wild, LIN, grid, cfg)
+        with pytest.raises(ConfigError, match="pi < 1"):
+            sweep(ACCEPT, LIN, grid, cfg)
 
     def test_single_antithetic_pair_has_no_standard_error(self):
         # one pair average cannot give a ddof=1 spread: a configuration error
