@@ -19,11 +19,29 @@ through a cached (index, offset) stencil that reproduces np.interp bit for
 bit; the stencil is rebuilt only when the targets change. Its step method
 takes a whole backward step and checks the CFL bound on the coefficients it
 evaluated; the loop around it checks that each new row is finite.
+
+The system is coupled one way: a pre-switch step at row i reads only row
+i+1 of the post-switch surface. So on Linux, with no second Python thread
+alive, solve_system marches a post regime whose first step minimized over
+more than one control column in a forked child process, while the caller
+marches the pre regime, waiting only until the post row it reads has been
+signalled. The post surface lives in an anonymous shared map that becomes
+the solved surface's v_after without a copy. Either way the surfaces are
+bitwise those of solve_after followed by solve_pre, and so are the errors
+and the hazard*dt warning: if either march fails, the child is killed and
+reaped and the post regime is solved again in the caller, which raises its
+error, if it has one, before the pre error is re-raised. A control-free post regime (such as
+merton_as_generic's) is too cheap to overlap and stays in the caller.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -73,7 +91,7 @@ class GridSpec:
                              "whose square is not a finite positive float")
         if self.n_t < 1:
             raise ValueError("need at least 1 time step")
-        nodes = np.asarray(self.control_nodes, dtype=float)
+        nodes = np.array(self.control_nodes, dtype=float)   # a private copy to freeze
         if nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("control_nodes must be a non-empty 1-D array")
         if nodes.size > 1 and not np.all(np.diff(nodes) > 0.0):
@@ -105,7 +123,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ValueSurface:
-    """Solved surfaces: (n_t+1, n_x) values per regime plus the policy grid."""
+    """Solved surfaces: (n_t+1, n_x) values per regime plus the policy grid.
+
+    The arrays given are frozen in place, not copied: the solver hands over
+    surfaces of its own, and a copy would double their memory.
+    """
 
     v_pre: np.ndarray
     v_after: np.ndarray
@@ -256,6 +278,7 @@ class _Kernel:
         # every term fits the mesh: n_x rows and one column or one per control
         terms = (drift, vol, cost) if jump is None else (drift, vol, cost, jump)
         shape = (self.mesh[0], max(a.shape[-1] if a.ndim else 1 for a in terms))
+        self.width = shape[1]
         self._derivatives(v_row)
         # upwind first difference: forward where drift >= 0, else backward
         ham = self._buf("ham", shape)
@@ -321,26 +344,32 @@ def pre_hamiltonian(problem: RegimeControlProblem, grid: GridSpec, t: float,
     return _full_mesh(_Kernel(problem, grid, "pre")(t, v_pre_row, v_after_row)[0], grid)
 
 
-def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = None):
+def _warn_coarse_hazard(problem: RegimeControlProblem, grid: GridSpec) -> None:
+    """Warn, just before a pre march would step, that hazard * dt is coarse."""
+    hazard_dt = problem.hazard * grid.dt(problem.horizon)
+    if hazard_dt > HAZARD_DT_WARN:
+        warnings.warn(
+            f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
+            "switch probability is too coarse for the explicit coupling",
+            RuntimeWarning,
+        )
+
+
+def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = None,
+           out: np.ndarray = None, handoff=None):
     """Backward explicit steps v[i] = v[i+1] + dt * min_u H, H read at t[i+1].
 
-    Returns (v, policy); policy is None for the post regime, called without v_after.
+    Returns (v, policy); policy is None for the post regime, called without
+    v_after. v is written into out when it is given. handoff(i, kernel), when
+    given, runs once row i is stepped and checked; the march stops there if it
+    returns True.
     """
     regime = "post" if v_after is None else "pre"
     kernel = _Kernel(problem, grid, regime)
     times = grid.times(problem.horizon)
-    v = np.empty((grid.n_t + 1, grid.n_x))
+    v = np.empty((grid.n_t + 1, grid.n_x)) if out is None else out
     v[-1] = problem.terminal_cost(grid.x_nodes)
-    policy = None
-    if v_after is not None:
-        hazard_dt = problem.hazard * grid.dt(problem.horizon)
-        if hazard_dt > HAZARD_DT_WARN:
-            warnings.warn(
-                f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
-                "switch probability is too coarse for the explicit coupling",
-                RuntimeWarning,
-            )
-        policy = np.empty_like(v)
+    policy = None if v_after is None else np.empty_like(v)
     # an overflow or a NaN reaches max(vol^2) or the row, whose checks raise on it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_t - 1, -1, -1):
@@ -350,10 +379,76 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
                 raise NumericalError(f"the {regime} surface is not finite at t={times[i]:.6g}")
             if policy is not None:
                 np.take(grid.control_nodes, pick, out=policy[i])
+            if handoff is not None and handoff(i, kernel):
+                break
     if policy is not None:
         # the terminal row's Hamiltonian is the one the first step minimized
         policy[-1] = policy[-2]
     return v, policy
+
+
+class _WorkerLost(Exception):
+    """The post-switch worker ended before it signalled every row."""
+
+
+class _PostWorker:
+    """Marches a controlled post regime in a forked child, ahead of the pre march.
+
+    post_row, the post march's hand-off, forks after the first row unless its
+    Hamiltonian had one control column; the child then writes its rows into
+    the shared map and signals every 16 of them over a pipe, one byte a row.
+    pre_row, the pre march's, waits for the post row the next pre step reads.
+    """
+
+    def __init__(self, grid: GridSpec):
+        shape = (grid.n_t + 1, grid.n_x)
+        try:
+            buf = mmap.mmap(-1, 8 * shape[0] * shape[1])
+        except (OSError, OverflowError) as exc:
+            raise MemoryError(f"cannot map a post-switch surface of shape {shape}") from exc
+        self.rows = np.frombuffer(buf, dtype=float).reshape(shape)
+        self.pid = None            # 0 in the child
+        self.fd = None             # the child's write end, the caller's read end
+        self.ready = grid.n_t - 1  # the lowest post row the caller may read
+        self.unsent = 0
+
+    def post_row(self, i: int, kernel: _Kernel) -> bool:
+        if self.pid == 0:
+            self.unsent += 1
+            if i % 16 == 0:
+                os.write(self.fd, bytes(self.unsent))
+                self.unsent = 0
+            return False
+        if i < self.ready or kernel.width == 1:
+            return False
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:            # no process to spare: march on alone
+            os.close(read_fd)
+            os.close(write_fd)
+            return False
+        self.fd = write_fd if self.pid == 0 else read_fd
+        os.close(read_fd if self.pid == 0 else write_fd)
+        return self.pid > 0
+
+    def pre_row(self, i: int, kernel: _Kernel) -> bool:
+        while self.ready > i:
+            got = os.read(self.fd, 4096)
+            if not got:
+                raise _WorkerLost
+            self.ready -= len(got)
+        return False
+
+    def stop(self) -> None:
+        """End the child: it exits here; the caller kills and reaps it."""
+        if self.pid == 0:
+            os._exit(0)
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.fd)
+            self.pid = None
 
 
 def solve_after(problem: RegimeControlProblem, grid: GridSpec) -> np.ndarray:
@@ -383,14 +478,40 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     # RuntimeWarning; min and max need no mesh-sized temporary
     if not (math.isfinite(v_after.min()) and math.isfinite(v_after.max())):
         raise NumericalError("v_after is not finite")
+    _warn_coarse_hazard(problem, grid)
     return _march(problem, grid, v_after)
 
 
 def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
-    """Post-switch solve followed by the coupled pre-switch solve.
+    """Post-switch solve and the coupled pre-switch solve.
 
     Each solve checks the control nodes; its steps check CFL and finiteness.
+    Surfaces and errors are those of solve_after followed by solve_pre, also
+    when a controlled post regime is marched in a forked worker (see the
+    module docstring).
     """
-    v_after = solve_after(problem, grid)
-    v_pre, policy = solve_pre(problem, v_after, grid)
+    v_pre = error = None
+    if (sys.platform.startswith("linux") and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        validate_grid_for(problem, grid)
+        worker = _PostWorker(grid)
+        try:
+            v_after = _march(problem, grid, out=worker.rows, handoff=worker.post_row)[0]
+            if worker.pid is None:        # a control-free post regime, marched here
+                v_pre, policy = solve_pre(problem, v_after, grid)
+            elif worker.pid > 0:
+                try:
+                    v_pre, policy = _march(problem, grid, v_after, handoff=worker.pre_row)
+                except Exception as exc:  # settled below, in the serial order
+                    error = exc
+                else:                     # every post row arrived: the post solved
+                    _warn_coarse_hazard(problem, grid)
+        finally:
+            worker.stop()
+    if v_pre is None:
+        v_after = solve_after(problem, grid)
+        if error is not None and not isinstance(error, _WorkerLost):
+            _warn_coarse_hazard(problem, grid)
+            raise error
+        v_pre, policy = solve_pre(problem, v_after, grid)
     return ValueSurface(v_pre=v_pre, v_after=v_after, policy=policy, grid=grid)

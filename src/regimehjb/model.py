@@ -89,7 +89,10 @@ class RegimeControlProblem:
 
     All callables must be pure and broadcast over numpy arrays (plain
     ufunc arithmetic on the arguments qualifies). Instances are immutable
-    and safe to share across workers.
+    and safe to share across workers. The callables of the post-switch march
+    (``drift_post``, ``vol_post``, ``running_cost``) may run in a forked
+    worker process (see ``hjb.solve_system``), so their side effects are not
+    seen by the caller.
     """
 
     drift_pre: Callable
@@ -124,8 +127,9 @@ class FCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # private copies to freeze, so the caller's arrays stay writeable
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-D arrays of equal length")
         if times.size < 2:

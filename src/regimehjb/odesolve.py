@@ -72,4 +72,4 @@ def solve_f_backward(params: MarketParams,
         values[i + 1] = g
 
     times = np.linspace(0.0, T, n + 1)
-    return FCurve(times=times, values=values[::-1].copy())
+    return FCurve(times=times, values=values[::-1])

@@ -1,8 +1,13 @@
 import dataclasses
+import mmap
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from regimehjb import hjb
 from regimehjb.closedform import f_closed_form, optimal_weight
 from regimehjb.hjb import (CflViolationError, GridSpec, NumericalError,
                            ValueSurface, post_hamiltonian, pre_hamiltonian,
@@ -47,6 +52,14 @@ class TestGridSpec:
         base = dict(x_min=-4.0, x_max=4.0, n_x=101, n_t=200, control_nodes=NODES)
         with pytest.raises(ValueError):
             GridSpec(**{**base, **kw})
+
+    def test_freezes_a_copy_not_the_callers_nodes(self):
+        nodes = np.linspace(0.0, 3.0, 61)
+        g = GridSpec(x_min=-4.0, x_max=4.0, n_x=101, n_t=200, control_nodes=nodes)
+        nodes[0] = 0.5    # still writeable
+        assert g.control_nodes[0] == 0.0
+        with pytest.raises(ValueError):
+            g.control_nodes[0] = 0.5
 
     def test_interior_mask(self):
         g = small_grid()
@@ -478,3 +491,277 @@ class TestReferenceEquivalence:
         assert ham.shape == (41, NODES.size)
         np.testing.assert_array_equal(ham, np.broadcast_to(ham[:, :1], ham.shape))
         np.testing.assert_allclose(ham, -ACCEPT.r, rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# method of manufactured solutions: curved exact surfaces, with running
+# costs chosen so that they solve the discrete-control HJB pair exactly
+# --------------------------------------------------------------------------
+
+MMS_A, MMS_HAZARD, MMS_U_STAR = 0.3, 0.5, 0.5
+
+
+def _mms_drift(t, x, u):
+    return 0.05 + 0.1 * u
+
+
+def _mms_vol(t, x, u):
+    return 0.2 + 0.2 * u
+
+
+def _mms_jump(t, x, u):
+    return x - 0.2 * u
+
+
+def _e(t):
+    """Amplitude of the curved part of both exact surfaces, a e^{-(T-t)}."""
+    return MMS_A * np.exp(t - 1.0)
+
+
+def _mms_after(t, x):
+    return -x - 0.04 * (1.0 - t) + _e(t) * np.cos(x)
+
+
+def _mms_pre(t, x):
+    return -x - 0.1 * (1.0 - t) + _e(t) * np.sin(x)
+
+
+def _mms_cost(v_t, v_x, v_xx, coupling):
+    """(u - u*)^2 - v_t - [b v_x + vol^2 v_xx / 2 + coupling]: min_u H = -v_t at u*."""
+    def cost(t, x, u):
+        generator = (_mms_drift(t, x, u) * v_x(t, x) + 0.5 * _mms_vol(t, x, u) ** 2
+                     * v_xx(t, x) + coupling(t, x, u))
+        return (u - MMS_U_STAR) ** 2 - v_t(t, x) - generator
+    return cost
+
+
+def _mms_problem(cost, terminal_cost):
+    return RegimeControlProblem(
+        drift_pre=_mms_drift, vol_pre=_mms_vol, drift_post=_mms_drift, vol_post=_mms_vol,
+        hazard=MMS_HAZARD, jump_map=_mms_jump, running_cost=cost,
+        terminal_cost=terminal_cost, control_bounds=(0.0, 1.0), horizon=1.0)
+
+
+# one problem has one running cost, so the post regime is solved as the post
+# regime of a problem of its own
+MMS_AFTER = _mms_problem(
+    _mms_cost(lambda t, x: 0.04 + _e(t) * np.cos(x), lambda t, x: -1.0 - _e(t) * np.sin(x),
+              lambda t, x: -_e(t) * np.cos(x), lambda t, x, u: 0.0),
+    lambda x: _mms_after(1.0, x))
+MMS_PRE = _mms_problem(
+    _mms_cost(lambda t, x: 0.1 + _e(t) * np.sin(x), lambda t, x: -1.0 + _e(t) * np.cos(x),
+              lambda t, x: -_e(t) * np.sin(x),
+              lambda t, x, u: MMS_HAZARD * (_mms_after(t, _mms_jump(t, x, u)) - _mms_pre(t, x))),
+    lambda x: _mms_pre(1.0, x))
+
+
+class TestManufacturedSolution:
+    def test_curved_surfaces_converge_at_first_order_with_the_exact_policy(self):
+        # dx halves and dt quarters per refinement. The upwind difference is
+        # first order in dx, so the error ratio tends to 2 from above (2.2 at
+        # a fourth grid, 321x6400); these grids give 2.4-2.7. A second
+        # difference divided by dx, not dx^2, gives ratios below 1, and a
+        # jump interpolation without its slope gives 1.1 and 2.0 on the pre
+        # surface and picks u* on only about 71 % of the nodes.
+        errors = []
+        for n_x, n_t in ((41, 100), (81, 400), (161, 1600)):
+            grid = GridSpec(x_min=-2.0, x_max=2.0, n_x=n_x, n_t=n_t,
+                            control_nodes=np.linspace(0.0, 1.0, 11))
+            v_after = solve_after(MMS_AFTER, grid)
+            v_pre, policy = solve_pre(MMS_PRE, v_after, grid)
+            x = grid.x_nodes
+            inner = np.abs(x) <= 1.0
+            errors.append((np.max(np.abs(v_after[0, inner] - _mms_after(0.0, x[inner]))),
+                           np.max(np.abs(v_pre[0, inner] - _mms_pre(0.0, x[inner])))))
+            assert (policy[:, inner] == MMS_U_STAR).all()
+        for coarse, fine in zip(errors, errors[1:]):
+            for e_coarse, e_fine in zip(coarse, fine):
+                assert e_coarse / e_fine >= 2.2
+
+
+# --------------------------------------------------------------------------
+# the two-process solve_system: a controlled post regime marches in a forked
+# child; the surfaces and the errors are those of solve_after + solve_pre
+# --------------------------------------------------------------------------
+
+def _serial(problem, grid):
+    v_after = solve_after(problem, grid)
+    return (v_after,) + solve_pre(problem, v_after, grid)
+
+
+def _assert_serial_bits(surf, problem, grid):
+    for got, want in zip((surf.v_after, surf.v_pre, surf.policy), _serial(problem, grid)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_below(t_switch, exc, fn):
+    def coefficient(t, x, u):
+        if t < t_switch:
+            raise exc
+        return fn(t, x, u)
+    return coefficient
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """pids of the children os.fork made in this process."""
+    pids, real = [], os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+class TestPipelinedSolve:
+    @pytest.mark.parametrize("jump_map", [
+        lambda t, x, u: x - u,
+        lambda t, x, u: x - u * (1.0 + t),
+    ], ids=["static-targets", "moving-targets"])
+    def test_bitwise_the_serial_solve(self, forks, jump_map):
+        prob = generic_problem(jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+        # the post surface is the shared map itself, frozen, not a copy of it
+        base = surf.v_after
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)    # numpy holds a memoryview of it
+        assert not surf.v_after.flags.writeable
+
+    def test_zero_hazard_pre_solve_ignores_the_post_regime(self, forks):
+        def forbidden(t, x, u):
+            raise AssertionError("jump_map evaluated at zero hazard")
+
+        prob = dataclasses.replace(generic_problem(forbidden), hazard=0.0)
+        other = dataclasses.replace(prob, drift_post=lambda t, x, u: np.sin(3 * x) + u)
+        s1, s2 = solve_system(prob, EQUIV_GRID), solve_system(other, EQUIV_GRID)
+        assert len(forks) == 2
+        garbage = np.full((EQUIV_GRID.n_t + 1, EQUIV_GRID.n_x), 7.0)
+        v_pre, policy = solve_pre(prob, garbage, EQUIV_GRID)
+        for surf in (s1, s2):
+            np.testing.assert_array_equal(_bits(surf.v_pre), _bits(v_pre))
+            np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
+        assert not np.array_equal(s1.v_after, s2.v_after)
+
+    @pytest.mark.parametrize("first_width, pipelined", [(1, False), (13, True)])
+    def test_width_is_decided_by_the_first_post_step(self, forks, first_width, pipelined):
+        base = generic_problem(lambda t, x, u: x - u)
+
+        def drift_post(t, x, u):
+            # one column at one of the two ends of the horizon, every control elsewhere
+            one_column = (t == 1.0) == (first_width == 1)
+            return 0.02 if one_column else base.drift_post(t, x, u)
+
+        prob = dataclasses.replace(base, drift_post=drift_post,
+                                   vol_post=lambda t, x, u: 0.25 + 0.0 * x,
+                                   running_cost=lambda t, x, u: 0.0)
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == int(pipelined)
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_post_failure_wins_over_an_earlier_pre_failure(self, forks):
+        base = generic_problem(lambda t, x, u: x - u)
+        # the pre regime breaks the CFL bound at its first step, the post
+        # regime only near t = 0, long after the pre march has failed
+        prob = dataclasses.replace(
+            base,
+            vol_pre=lambda t, x, u: base.vol_pre(t, x, u) * (3.0 if t > 0.9 else 1.0),
+            vol_post=lambda t, x, u: base.vol_post(t, x, u) * (5.0 if t < 0.2 else 1.0))
+        with pytest.raises(CflViolationError) as serial:
+            solve_after(prob, EQUIV_GRID)
+        with pytest.raises(CflViolationError) as piped:
+            solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        assert "post regime" in str(serial.value)
+        assert str(piped.value) == str(serial.value)
+        assert piped.value.min_n_t == serial.value.min_n_t
+        _assert_no_child()
+
+    def test_pre_failure_is_raised_when_the_post_solves(self, forks):
+        base = generic_problem(lambda t, x, u: x - u)
+        prob = dataclasses.replace(base, drift_pre=lambda t, x, u: np.where(
+            t < 0.5, np.nan, base.drift_pre(t, x, u)))
+        with pytest.raises(NumericalError) as serial:
+            _serial(prob, EQUIV_GRID)
+        with pytest.raises(NumericalError) as piped:
+            solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        assert str(piped.value) == str(serial.value)
+        _assert_no_child()
+
+    def test_coarse_hazard_warning_comes_once_the_post_regime_solved(self, forks):
+        # hazard * dt = 0.125 > HAZARD_DT_WARN: the serial order warns just
+        # before the pre march, so not at all when the post march fails
+        base = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=20.0)
+        with pytest.warns(RuntimeWarning, match="hazard"):
+            solve_system(base, EQUIV_GRID)
+        failing = dataclasses.replace(base, drift_post=lambda t, x, u: np.where(
+            t < 0.5, np.nan, base.drift_post(t, x, u)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="^the post surface is not finite"):
+                solve_system(failing, EQUIV_GRID)
+        assert not [w for w in seen if "hazard" in str(w.message)]
+        assert len(forks) == 2
+
+    def test_assertion_in_the_worker_reaches_the_caller(self, forks):
+        base = generic_problem(lambda t, x, u: x - u)
+        prob = dataclasses.replace(base, drift_post=_raise_below(
+            0.5, AssertionError("post drift checked"), base.drift_post))
+        with pytest.raises(AssertionError, match="^post drift checked$"):
+            solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("field", ["drift_pre", "drift_post"])
+    def test_keyboard_interrupt_leaves_no_child(self, forks, field):
+        base = generic_problem(lambda t, x, u: x - u)
+        prob = dataclasses.replace(base, **{field: _raise_below(
+            0.5, KeyboardInterrupt, getattr(base, field))})
+        with pytest.raises(KeyboardInterrupt):
+            solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_second_thread_keeps_the_solve_serial(self, forks):
+        prob = generic_problem(lambda t, x, u: x - u)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            surf = solve_system(prob, EQUIV_GRID)
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert forks == []
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_no_fork_keeps_the_solve_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        calls = []
+        monkeypatch.setattr(hjb, "solve_after",
+                            lambda *a: calls.append(a) or solve_after(*a))
+        prob = generic_problem(lambda t, x, u: x - u)
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(calls) == 1
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_control_free_post_regime_stays_in_process(self, forks):
+        prob = merton_problem()
+        grid = small_grid(n_x=41, n_t=150)
+        surf = solve_system(prob, grid)
+        assert forks == []
+        _assert_serial_bits(surf, prob, grid)

@@ -134,6 +134,13 @@ class TestFCurve:
         with pytest.raises(ValueError):
             c.values[0] = 5.0  # read-only backing array
 
+    def test_freezes_a_copy_not_the_callers_arrays(self):
+        times, values = np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.1, 0.0])
+        c = FCurve(times=times, values=values)
+        times[1], values[0] = 0.25, 5.0   # still writeable
+        np.testing.assert_array_equal(c.times, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(c.values, [0.2, 0.1, 0.0])
+
     @pytest.mark.parametrize("times,values", [
         ([0.0, 0.5, 0.5], [0.2, 0.1, 0.0]),      # not strictly increasing
         ([0.0, 1.0], [0.2, 0.1]),                # nonzero terminal value
