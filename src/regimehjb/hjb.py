@@ -21,21 +21,27 @@ takes a whole backward step and checks the CFL bound on the coefficients it
 evaluated; the loop around it checks that each new row is finite.
 
 The system is coupled one way: a pre-switch step at row i reads only row
-i+1 of the post-switch surface. So on Linux, with no second Python thread
-alive, solve_system marches a post regime whose first step minimized over
-more than one control column in a forked child process, while the caller
+i+1 of the post-switch surface, through V_after at the jump targets, which
+does not depend on V_pre. So on Linux, with no second Python thread alive,
+solve_system marches a post regime whose first step minimized over more
+than one control column in a forked child process, while the caller
 marches the pre regime, waiting only until the post row it reads has been
 signalled. The post surface lives in an anonymous shared map that becomes
-the solved surface's v_after without a copy. Either way the surfaces are
-bitwise those of solve_after followed by solve_pre, and so are the errors
-and the hazard*dt warning: if either march fails, the child is killed and
-reaped and the post regime is solved again in the caller, which raises its
-error, if it has one, before the pre error is re-raised. A control-free post regime (such as
-merton_as_generic's) is too cheap to overlap and stays in the caller.
+the solved surface's v_after without a copy. The child also evaluates
+V_after at the jump targets of rows the caller reaches next (_PostWorker),
+so jump_map, which must be pure, may run there too, more than once per
+step time. Either way the
+surfaces are bitwise those of solve_after followed by solve_pre, and so are
+the errors and the hazard*dt warning: if either march fails, the child is
+killed and reaped and the post regime is solved again in the caller, which
+raises its error, if it has one, before the pre error is re-raised. A
+control-free post regime (such as merton_as_generic's) is too cheap to
+overlap and stays in the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -56,7 +62,8 @@ HAZARD_DT_WARN = 0.1
 
 
 class CflViolationError(ConfigError):
-    """Explicit-scheme stability bound dt <= dx^2 / max(vol^2) is violated."""
+    """The explicit step breaks its stability (positive-coefficient) bound
+    dt * (max|drift|/dx + max(vol^2)/dx^2 + hazard) <= 1."""
 
     def __init__(self, message: str, min_n_t: int):
         super().__init__(message)
@@ -148,7 +155,7 @@ def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
     """Raise ConfigError unless the control nodes lie inside the control bounds.
 
     No coefficient is evaluated here: the solvers check the CFL bound
-    dt <= dx^2 / max(vol^2) at every step, on the coefficients of that step.
+    (see CflViolationError) at every step, on the coefficients of that step.
     """
     lo, hi = problem.control_bounds
     nodes = grid.control_nodes
@@ -160,11 +167,12 @@ def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
 class _Kernel:
     """Discrete Hamiltonian and backward step of one regime, built once per solve.
 
-    Calling it returns max(vol^2) and the Hamiltonian, in the shape its terms
-    broadcast to ((n_x, 1) when nothing depends on the control, else
-    (n_x, n_u)) and in a buffer the next call overwrites. Operations run in
-    the same order as a plain full-mesh evaluation, so results are bitwise
-    those of np.where/np.interp on broadcast arrays.
+    Calling it returns the Hamiltonian, max(vol^2) and max|drift|; the
+    Hamiltonian has the shape its terms broadcast to ((n_x, 1) when nothing
+    depends on the control, else (n_x, n_u)) and lives in a buffer the next
+    call overwrites. Operations run in the same order as a plain full-mesh
+    evaluation, so results are bitwise those of np.where/np.interp on
+    broadcast arrays.
     """
 
     def __init__(self, problem: RegimeControlProblem, grid: GridSpec, regime: str):
@@ -182,6 +190,7 @@ class _Kernel:
         self.mesh = (grid.n_x, grid.control_nodes.size)
         self.dx = grid.dx
         self.horizon = problem.horizon
+        self.n_t = grid.n_t
         self.dt = grid.dt(problem.horizon)
         n_x = grid.n_x
         # grad[:-1] is the backward, grad[1:] the forward first difference
@@ -198,6 +207,8 @@ class _Kernel:
         self._x_gap = self.x[1:] - self.x[:-1]
         self._slope = np.zeros(n_x)
         self._targets = None
+        # at_jump's result for the next step, when another process evaluated it
+        self.jump_values = None
 
     def _buf(self, name: str, shape, dtype=float) -> np.ndarray:
         buf = self._bufs.get(name)
@@ -244,8 +255,9 @@ class _Kernel:
         self._off[exact] = -0.0
         self._targets = targets.copy()
 
-    def _coupling(self, t, v_row: np.ndarray, v_after_row: np.ndarray) -> np.ndarray:
-        """hazard * (V_after(jump target) - V_pre) in the targets' shape."""
+    def at_jump(self, t, v_after_row: np.ndarray) -> np.ndarray:
+        """V_after at the jump targets of t (np.interp's slope[slot] * off + post[node]),
+        free of V_pre, in the targets' shape and the kernel's own "jump" buffer."""
         targets = self._coeff(self.jump_map, t)
         if targets.ndim < 2 or targets.shape[0] != self.mesh[0]:
             # the coupling varies with x through V_pre even where the targets do not
@@ -264,17 +276,25 @@ class _Kernel:
         np.multiply(out, self._off, out=out)
         post = np.take(v_after_row, self._node, out=self._buf("post", targets.shape),
                        mode="clip")
-        np.add(out, post, out=out)
-        np.subtract(out, v_row[:, None], out=out)
-        return np.multiply(out, self.hazard, out=out)
+        return np.add(out, post, out=out)
 
     def __call__(self, t: float, v_row: np.ndarray,
-                 v_after_row: np.ndarray = None) -> Tuple[np.ndarray, float]:
+                 v_after_row: np.ndarray = None) -> Tuple[np.ndarray, float, float]:
+        """(H, max(vol^2), max|drift|) at t; H is read at jump_values if they are set."""
         drift = self._coeff(self.drift, t)
         vol = self._coeff(self.vol, t)
         cost = self._coeff(self.cost, t)
-        coupled = self.hazard > 0.0
-        jump = self._coupling(t, v_row, v_after_row) if coupled else None
+        max_b = max(float(drift.max()), -float(drift.min()))
+        values, self.jump_values = self.jump_values, None
+        jump = None
+        if self.hazard > 0.0:
+            # hazard * (V_after(target) - V_pre), in place in the kernel's own buffer
+            if values is None:
+                jump = values = self.at_jump(t, v_after_row)
+            else:
+                jump = self._buf("coupling", values.shape)
+            np.subtract(values, v_row[:, None], out=jump)
+            np.multiply(jump, self.hazard, out=jump)
         # every term fits the mesh: n_x rows and one column or one per control
         terms = (drift, vol, cost) if jump is None else (drift, vol, cost, jump)
         shape = (self.mesh[0], max(a.shape[-1] if a.ndim else 1 for a in terms))
@@ -295,25 +315,30 @@ class _Kernel:
         np.add(ham, cost, out=ham)
         if jump is not None:
             np.add(ham, jump, out=ham)
-        return ham, sq
+        return ham, sq, max_b
 
     def step(self, t: float, v_next: np.ndarray, v_after_next: np.ndarray,
              out: np.ndarray) -> np.ndarray:
         """out = v_next + dt * min_u H(t); returns the first minimizer per node.
 
-        Raises unless max(vol^2) = sq at t is finite and dt <= dx^2 / sq. The
-        minimum is read at argmin, which is cheaper than a second reduction
-        and returns the same value.
+        Raises unless max(vol^2) = sq at t is finite and the interior update
+        weighs v_next non-negatively: T (max|drift|/dx + sq/dx^2 + hazard) <= n_t,
+        so the n_t it names passes; a NaN drift is left to the row's check. The
+        minimum is read at argmin: cheaper than a second reduction, same value.
         """
-        ham, sq = self(t, v_next, v_after_next)
+        ham, sq, max_b = self(t, v_next, v_after_next)
         if not math.isfinite(sq):
             raise NumericalError(f"vol is not finite for {self.where} at t={t:.6g}")
-        if sq > 0.0 and self.dt > self.dx ** 2 / sq:
-            min_n_t = int(np.ceil(self.horizon * sq / self.dx ** 2))
+        need = self.horizon * (max_b / self.dx + sq / self.dx ** 2 + self.hazard)
+        if need > self.n_t:
+            if need == math.inf:
+                raise NumericalError(f"drift is not finite, or its stability bound "
+                                     f"overflows, for {self.where} at t={t:.6g}")
+            min_n_t = math.ceil(need)
             raise CflViolationError(f"CFL violation for {self.where} at t={t:.6g}: "
-                                    f"dt={self.dt:.3e} exceeds dx^2/max(vol^2)="
-                                    f"{self.dx ** 2 / sq:.3e}; need n_t >= {min_n_t}",
-                                    min_n_t=min_n_t)
+                                    f"dt={self.dt:.3e} exceeds 1/(max|drift|/dx + "
+                                    f"max(vol^2)/dx^2 + hazard)={self.horizon / need:.3e}; "
+                                    f"need n_t >= {min_n_t}", min_n_t=min_n_t)
         pick = ham.argmin(axis=1, out=self._pick)
         flat = np.multiply(self._rows, ham.shape[1], out=self._flat)
         np.add(flat, pick, out=flat)
@@ -387,6 +412,11 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
     return v, policy
 
 
+# slots in the post worker's ring of jump rows; rows next to the caller's last
+# reported one that the worker leaves to the caller; caller steps per report
+RING, LEAD, REPORT = 4, 2, 2
+
+
 class _WorkerLost(Exception):
     """The post-switch worker ended before it signalled every row."""
 
@@ -396,58 +426,125 @@ class _PostWorker:
 
     post_row, the post march's hand-off, forks after the first row unless its
     Hamiltonian had one control column; the child then writes its rows into
-    the shared map and signals every 16 of them over a pipe, one byte a row.
-    pre_row, the pre march's, waits for the post row the next pre step reads.
+    the shared map and signals them over a pipe, one byte a row, every 16
+    rows or, with a hazard, every row. pre_row, the pre march's, waits for
+    the post row the next pre step reads.
+
+    With a hazard, the child also fills RING mesh-sized slots of a second map,
+    after each post row and then until the caller passes row 1, with at_jump
+    of the rows [next - RING + 1, next - LEAD] (next: the caller's last
+    report, every REPORT steps over a third pipe), descending, each announced
+    over a second pipe. The caller never waits for one: it reads a slot whose
+    row was announced and is still held, else evaluates the row itself. Rows
+    are filled once, descending, so a slot is reused only after the caller
+    passed its row.
     """
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, problem: RegimeControlProblem, grid: GridSpec):
+        self.problem, self.grid = problem, grid
         shape = (grid.n_t + 1, grid.n_x)
+        ring = RING * grid.n_x * grid.control_nodes.size if problem.hazard > 0.0 else 0
         try:
             buf = mmap.mmap(-1, 8 * shape[0] * shape[1])
+            self.ring = (np.frombuffer(mmap.mmap(-1, 8 * ring)).reshape(RING, -1)
+                         if ring else None)
         except (OSError, OverflowError) as exc:
             raise MemoryError(f"cannot map a post-switch surface of shape {shape}") from exc
         self.rows = np.frombuffer(buf, dtype=float).reshape(shape)
         self.pid = None            # 0 in the child
-        self.fd = None             # the child's write end, the caller's read end
+        self.fds = []              # this process's ends of the rows, news and progress pipes
         self.ready = grid.n_t - 1  # the lowest post row the caller may read
         self.unsent = 0
+        self.next = grid.n_t       # the jump row the caller reads next, as last reported
+        self.filled = grid.n_t + 1     # the lowest jump row the child filled
+        self.held = [(-1, 0)] * RING   # the (row, width) of each slot, as announced
 
     def post_row(self, i: int, kernel: _Kernel) -> bool:
         if self.pid == 0:
             self.unsent += 1
-            if i % 16 == 0:
-                os.write(self.fd, bytes(self.unsent))
+            if i % 16 == 0 or self.ring is not None:
+                os.write(self.fds[0], bytes(self.unsent))
                 self.unsent = 0
+            # an error here ends the child like one in its post march
+            if self.ring is not None and self._fill(i) and i == 0:
+                os.set_blocking(self.fds[2], True)     # the march is done: wait for reports
+                while self._fill(0):
+                    pass
             return False
         if i < self.ready or kernel.width == 1:
             return False
-        read_fd, write_fd = os.pipe()
+        pipes = [os.pipe() for _ in range(1 if self.ring is None else 3)]
         try:
             self.pid = os.fork()
         except OSError:            # no process to spare: march on alone
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in sum(pipes, ()):
+                os.close(fd)
             return False
-        self.fd = write_fd if self.pid == 0 else read_fd
-        os.close(read_fd if self.pid == 0 else write_fd)
+        # the child keeps the write ends of rows and news and the read end of
+        # progress, the caller the other ends
+        child = self.pid == 0
+        self.fds = [fds[child == (k < 2)] for k, fds in enumerate(pipes)]
+        for fd in set(sum(pipes, ())) - set(self.fds):
+            os.close(fd)
+        if self.ring is not None:
+            os.set_blocking(self.fds[2 if child else 1], False)
+            if child:
+                self.times = self.grid.times(self.problem.horizon)
+                self.kernel = _Kernel(self.problem, self.grid, "pre")
         return self.pid > 0
+
+    def _fill(self, low: int) -> bool:
+        """Fill the window's rows down to post row low; False once none is left."""
+        with contextlib.suppress(BlockingIOError):
+            got = os.read(self.fds[2], 4096)
+            if not got:            # the caller is gone
+                return False
+            self.next -= REPORT * len(got)
+        for k in range(min(self.filled - 1, self.next - LEAD),
+                       max(low, self.next - RING + 1, 1) - 1, -1):
+            values = self.kernel.at_jump(self.times[k], self.rows[k])
+            self.ring[k % RING, :values.size] = values.ravel()
+            os.write(self.fds[1], np.array([k, values.shape[1]]).tobytes())
+            self.filled = k
+        return min(self.filled - 1, self.next - LEAD) >= 1
 
     def pre_row(self, i: int, kernel: _Kernel) -> bool:
         while self.ready > i:
-            got = os.read(self.fd, 4096)
+            got = os.read(self.fds[0], 4096)
             if not got:
                 raise _WorkerLost
             self.ready -= len(got)
+        if self.ring is not None:
+            with contextlib.suppress(BlockingIOError):  # whole records, each written at once
+                news = np.frombuffer(os.read(self.fds[1], 4096), dtype=np.int64)
+                for row, width in news.reshape(-1, 2).tolist():
+                    self.held[row % RING] = (row, width)
+            row, width = self.held[i % RING]
+            if row == i:
+                slot = self.ring[i % RING, :self.grid.n_x * width]
+                kernel.jump_values = slot.reshape(-1, width)
+            if (self.grid.n_t - i) % REPORT == 0:
+                with contextlib.suppress(BrokenPipeError):  # the child was killed from outside
+                    os.write(self.fds[2], b"\0")
         return False
 
     def stop(self) -> None:
         """End the child: it exits here; the caller kills and reaps it."""
         if self.pid == 0:
-            os._exit(0)
+            try:   # a reader stays on progress until the kill, so no report breaks the pipe
+                for fd in self.fds[:2]:
+                    os.close(fd)
+                if self.fds[2:]:
+                    os.set_blocking(self.fds[2], True)
+                    while os.read(self.fds[2], 4096):
+                        pass
+            finally:
+                os._exit(0)
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
-            os.close(self.fd)
+            for fd in self.fds:
+                os.close(fd)
             self.pid = None
 
 
@@ -494,7 +591,7 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     if (sys.platform.startswith("linux") and hasattr(os, "fork")
             and threading.active_count() == 1):
         validate_grid_for(problem, grid)
-        worker = _PostWorker(grid)
+        worker = _PostWorker(problem, grid)
         try:
             v_after = _march(problem, grid, out=worker.rows, handoff=worker.post_row)[0]
             if worker.pid is None:        # a control-free post regime, marched here

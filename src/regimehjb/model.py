@@ -90,8 +90,9 @@ class RegimeControlProblem:
     All callables must be pure and broadcast over numpy arrays (plain
     ufunc arithmetic on the arguments qualifies). Instances are immutable
     and safe to share across workers. The callables of the post-switch march
-    (``drift_post``, ``vol_post``, ``running_cost``) may run in a forked
-    worker process (see ``hjb.solve_system``), so their side effects are not
+    (``drift_post``, ``vol_post``, ``running_cost``) and ``jump_map`` may run
+    in a forked worker process (see ``hjb.solve_system``), ``jump_map``
+    possibly more than once per step time, so their side effects are not
     seen by the caller.
     """
 

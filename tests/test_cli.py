@@ -281,17 +281,49 @@ class TestCommandLine:
         assert run.stderr == "numerical error: vol is not finite for the pre regime at t=1\n"
 
     @pytest.mark.parametrize("command", ["hjb-solve", "verify"])
-    def test_overflowing_coupling_warns_only_of_hazard_dt(self, tmp_path, command):
+    def test_coarse_hazard_step_warns_then_breaks_the_stability_bound(self, tmp_path,
+                                                                      command):
         cfg = base_config()
-        cfg["market"]["h"] = 5000.0        # h dt = 5: the coupling term overflows
+        cfg["market"]["h"] = 5000.0        # h dt = 5: the explicit update is not monotone
         cfg["grid"]["n_t"] = 1000
         path = write_config(tmp_path, cfg)
         run = run_cli_warnings_as_errors(command, "--config", path, allow="hazard*dt")
-        assert (run.returncode, run.stdout) == (3, "")
+        assert (run.returncode, run.stdout) == (2, "")
         warned = [line for line in run.stderr.splitlines() if "Warning: " in line]
         assert len(warned) == 1 and "RuntimeWarning: hazard*dt = 5 > 0.1" in warned[0]
-        assert run.stderr.endswith("\nnumerical error: the pre surface is not finite "
-                                   "at t=0.487\n")
+        # T (|drift|/dx + vol^2/dx^2 + h) at the largest control, 3
+        assert run.stderr.endswith("\nconfiguration error: CFL violation for the pre regime "
+                                   "at t=1: dt=1.000e-03 exceeds 1/(max|drift|/dx + "
+                                   "max(vol^2)/dx^2 + hazard)=1.977e-04; "
+                                   "need n_t >= 5058\n")
+        cfg["grid"]["n_t"] = 5058
+        path = write_config(tmp_path, cfg)
+        run = run_cli_warnings_as_errors(command, "--config", path, allow="hazard*dt")
+        assert "CFL" not in run.stderr and run.returncode in (0, 1)
+
+    def test_courant_number_above_one_is_a_cfl_violation(self, tmp_path):
+        # mu = r = 10: the drift alone moves r dt / dx = 5 cells a step, and
+        # a bound on the diffusion alone let this config return f0_hjb = -4.28e78
+        cfg = base_config()
+        cfg["market"].update(mu=10.0, r=10.0)
+        cfg["grid"] = {"n_t": 100}
+        cfg["control_bounds"] = [0.0, 0.05]
+        path = write_config(tmp_path, cfg)
+        run = run_cli_warnings_as_errors("hjb-solve", "--config", path)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("configuration error: CFL violation for the post regime")
+        assert run.stderr.endswith("need n_t >= 500\n")
+        # the pre regime adds its diffusion and the hazard: 500.27 needs one step more
+        cfg["grid"]["n_t"] = 500
+        run = run_cli_warnings_as_errors("hjb-solve", "--config", write_config(tmp_path, cfg))
+        assert run.returncode == 2 and run.stderr.endswith(
+            "configuration error: CFL violation for the pre regime at t=1: dt=2.000e-03 "
+            "exceeds 1/(max|drift|/dx + max(vol^2)/dx^2 + hazard)=1.999e-03; "
+            "need n_t >= 501\n")
+        cfg["grid"]["n_t"] = 501
+        run = run_cli_warnings_as_errors("hjb-solve", "--config", write_config(tmp_path, cfg))
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["f0_hjb"] == pytest.approx(10.0, abs=0.01)
 
     def test_single_antithetic_pair_is_a_configuration_error(self, tmp_path, capsys):
         cfg = base_config()

@@ -1,11 +1,15 @@
 import dataclasses
+import math
 import mmap
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimehjb import hjb
 from regimehjb.closedform import f_closed_form, optimal_weight
@@ -79,7 +83,8 @@ class TestCfl:
         with pytest.raises(CflViolationError) as exc:
             solve_pre(prob, np.zeros((101, 801)), grid(100))
         n_min = exc.value.min_n_t
-        assert n_min in (3600, 3601)  # fp wobble of the ratio decides the ulp
+        # T * (|drift|/dx + vol^2/dx^2 + h) = 0.02/0.01 + 0.36/0.01^2 + 0.02 = 3602.02
+        assert n_min == 3603
         assert str(n_min) in str(exc.value) and "at t=1:" in str(exc.value)
         # the step check passes the suggested n_t and rejects one step fewer
         solve_pre(prob, np.zeros((n_min + 1, 801)), grid(n_min))
@@ -99,10 +104,58 @@ class TestCfl:
         with pytest.raises(CflViolationError, match="for the post regime at t=1:") as exc:
             solve_after(prob, grid(100))
         n_min = exc.value.min_n_t
-        assert n_min in (3600, 3601) and f"need n_t >= {n_min}" in str(exc.value)
+        assert n_min == 3602 and f"need n_t >= {n_min}" in str(exc.value)
         assert np.isfinite(solve_after(prob, grid(n_min))).all()
         with pytest.raises(CflViolationError, match="post regime"):
             solve_after(prob, grid(n_min - 1))
+
+    def test_drift_without_diffusion_is_bounded_too(self):
+        # post drift 5 and no vol: 5 dt / dx = 2.5 at n_t = 100, where a bound
+        # on the diffusion alone let the march return max|v| = 5e54
+        prob = dataclasses.replace(merton_problem(), drift_post=lambda t, x, u: 5.0 + 0.0 * u,
+                                   vol_post=lambda t, x, u: 0.0, terminal_cost=np.sin)
+
+        def grid(n_t):
+            return GridSpec(x_min=-4.0, x_max=4.0, n_x=401, n_t=n_t, control_nodes=NODES)
+
+        with pytest.raises(CflViolationError, match="for the post regime at t=1:") as exc:
+            solve_after(prob, grid(100))
+        n_min = exc.value.min_n_t
+        assert n_min == math.ceil(5.0 / grid(100).dx) and f"need n_t >= {n_min}" in str(exc.value)
+        # at Courant number 1 the upwind step transports exactly, v(0, x) =
+        # sin(x + 5), wherever the data does not come from beyond x_max
+        x, v = grid(n_min).x_nodes, solve_after(prob, grid(n_min))
+        np.testing.assert_allclose(v[0, x <= -1.0], np.sin(x[x <= -1.0] + 5.0), atol=1e-12)
+        with pytest.raises(CflViolationError):
+            solve_after(prob, grid(n_min - 1))
+
+    @pytest.mark.filterwarnings("ignore:hazard")    # an accuracy warning, not this bound
+    @given(drift=st.floats(-5.0, 5.0), vol=st.floats(0.0, 1.0), hazard=st.floats(0.0, 20.0),
+           n_x=st.integers(3, 30), post=st.booleans())
+    @settings(max_examples=40)
+    def test_named_n_t_is_the_least_that_passes(self, drift, vol, hazard, n_x, post):
+        # dt (|drift|/dx + vol^2/dx^2 + hazard) <= 1: the named n_t solves and
+        # one step fewer raises
+        coeffs = {"drift_post" if post else "drift_pre": lambda t, x, u: drift + 0.0 * u,
+                  "vol_post" if post else "vol_pre": lambda t, x, u: vol + 0.0 * u}
+        prob = dataclasses.replace(merton_problem(), hazard=hazard, terminal_cost=np.sin,
+                                   jump_map=lambda t, x, u: x - 0.1 * u, **coeffs)
+
+        def solve(n_t):
+            grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=n_x, n_t=n_t,
+                            control_nodes=np.array([0.0, 1.0]))
+            if post:
+                return solve_after(prob, grid)
+            return solve_pre(prob, np.zeros((n_t + 1, n_x)), grid)[0]
+
+        dx = 2.0 / (n_x - 1)
+        rate = abs(drift) / dx + vol * vol / dx ** 2 + (0.0 if post else hazard)
+        n_min = max(1, math.ceil(rate))
+        if n_min > 1:
+            with pytest.raises(CflViolationError) as exc:
+                solve(n_min - 1)
+            assert exc.value.min_n_t == n_min
+        assert np.isfinite(solve(n_min)).all()
 
     def test_post_regime_without_diffusion_is_unconstrained(self):
         prob = merton_problem()
@@ -299,15 +352,16 @@ class TestStepGuards:
         grid = small_grid()  # dt = 0.005, dx = 0.08; a step lands on t = 0.25
         with pytest.raises(CflViolationError) as exc:
             solve_system(prob, grid)
-        # stepping backward from T, the first step time whose own max(vol^2)
-        # breaks the bound names the n_t
-        dt = grid.dt(prob.horizon)
+        # stepping backward from T, the first step time whose own
+        # coefficients break the bound names the n_t
         for t in grid.times(prob.horizon)[::-1]:
             sq = float(np.max(spiky(t, 0.0, NODES) ** 2))
-            if dt > grid.dx ** 2 / sq:
+            b = float(np.max(np.abs(prob.drift_pre(t, 0.0, NODES))))
+            need = prob.horizon * (b / grid.dx + sq / grid.dx ** 2 + prob.hazard)
+            if need > grid.n_t:
                 break
         assert 0.25 < t < 0.3
-        expected = int(np.ceil(prob.horizon * sq / grid.dx ** 2))
+        expected = int(np.ceil(need))
         assert exc.value.min_n_t == expected
         assert f"t={t:.6g}" in str(exc.value) and str(expected) in str(exc.value)
 
@@ -703,16 +757,19 @@ class TestPipelinedSolve:
 
     def test_coarse_hazard_warning_comes_once_the_post_regime_solved(self, forks):
         # hazard * dt = 0.125 > HAZARD_DT_WARN: the serial order warns just
-        # before the pre march, so not at all when the post march fails
-        base = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=20.0)
+        # before the pre march, so not at all when the post march fails. The
+        # grid is finer than EQUIV_GRID, where hazard 20 would break the
+        # stability bound (0.36/dx^2 + 20 > n_t = 160)
+        grid = dataclasses.replace(EQUIV_GRID, n_t=200)
+        base = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=25.0)
         with pytest.warns(RuntimeWarning, match="hazard"):
-            solve_system(base, EQUIV_GRID)
+            solve_system(base, grid)
         failing = dataclasses.replace(base, drift_post=lambda t, x, u: np.where(
             t < 0.5, np.nan, base.drift_post(t, x, u)))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(NumericalError, match="^the post surface is not finite"):
-                solve_system(failing, EQUIV_GRID)
+                solve_system(failing, grid)
         assert not [w for w in seen if "hazard" in str(w.message)]
         assert len(forks) == 2
 
@@ -765,3 +822,147 @@ class TestPipelinedSolve:
         surf = solve_system(prob, grid)
         assert forks == []
         _assert_serial_bits(surf, prob, grid)
+
+
+def _fd_count():
+    """Open file descriptors of this process, or None where /proc is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+# jump maps of each shape the kernel meets, a its shift and c its speed in t;
+# the targets clamp past both edges of PIPE_GRID for most a
+JUMP_SHAPES = {
+    "scalar": lambda a, c: lambda t, x, u: a + c * t,
+    "state-column": lambda a, c: lambda t, x, u: 3.0 * x + a + c * t,
+    "control-row": lambda a, c: lambda t, x, u: a - u + c * t,
+    "mesh": lambda a, c: lambda t, x, u: x - a * u * (1.0 + c * t),
+}
+PIPE_GRID = GridSpec(x_min=-1.0, x_max=1.0, n_x=21, n_t=60,
+                     control_nodes=np.linspace(-1.0, 2.0, 7))
+
+
+class TestSharedJumpRows:
+    """The worker evaluates V_after at the jump targets ahead of the caller."""
+
+    @given(shape=st.sampled_from(sorted(JUMP_SHAPES)), a=st.floats(-3.0, 3.0),
+           moving=st.booleans(), hazard_dt=st.sampled_from([0.0, 1e-3, 0.095]))
+    @settings(max_examples=30)
+    def test_bits_are_those_of_the_serial_solves(self, shape, a, moving, hazard_dt):
+        prob = dataclasses.replace(generic_problem(JUMP_SHAPES[shape](a, 0.5 * moving)),
+                                   hazard=hazard_dt * PIPE_GRID.n_t)
+        _assert_serial_bits(solve_system(prob, PIPE_GRID), prob, PIPE_GRID)
+
+    def test_a_worker_too_slow_to_fill_leaves_the_rows_to_the_caller(self, forks):
+        caller, own = os.getpid(), []
+
+        def jump_map(t, x, u):
+            if os.getpid() != caller:
+                time.sleep(0.002)
+            else:
+                own.append(t)
+            return x - u
+
+        prob = generic_problem(jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        evaluated_here = len(own)
+        assert len(forks) == 1
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+        # the caller passes each row before the worker announces it (all of
+        # them on an idle host), and evaluates it itself
+        assert evaluated_here >= 0.9 * EQUIV_GRID.n_t
+
+    def test_a_slow_caller_reads_the_rows_from_the_worker(self, forks):
+        caller, own = os.getpid(), []
+        base = generic_problem(lambda t, x, u: x - u)
+
+        def drift_pre(t, x, u):
+            if os.getpid() == caller:
+                time.sleep(0.001)
+            return base.drift_pre(t, x, u)
+
+        def jump_map(t, x, u):
+            if os.getpid() == caller:
+                own.append(t)
+            return x - u
+
+        prob = dataclasses.replace(base, drift_pre=drift_pre, jump_map=jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        evaluated_here = list(own)
+        assert len(forks) == 1
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+        # the worker leaves the first two rows to the caller and, given the
+        # time, fills every other one
+        times = EQUIV_GRID.times(1.0)
+        assert evaluated_here[:2] == [times[-1], times[-2]]
+        assert len(evaluated_here) < EQUIV_GRID.n_t // 4
+
+    def test_jump_map_failing_only_in_the_worker_gives_the_serial_solve(self, forks):
+        caller = os.getpid()
+
+        def jump_map(t, x, u):
+            if os.getpid() != caller:
+                raise ValueError("only in the worker")
+            return x - u
+
+        prob = generic_problem(jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_jump_map_failure_is_raised_in_the_serial_order(self, forks):
+        # the worker meets the non-finite targets long before the caller does
+        prob = generic_problem(lambda t, x, u: x - u * (np.nan if t < 0.5 else 1.0))
+        with pytest.raises(NumericalError) as serial:
+            _serial(prob, EQUIV_GRID)
+        with pytest.raises(NumericalError) as piped:
+            solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        assert str(piped.value) == str(serial.value) == "jump_map produced a non-finite target"
+        _assert_no_child()
+
+    @pytest.mark.parametrize("t_stop", [0.5, 0.05], ids=["in-the-post-march", "after-it"])
+    def test_keyboard_interrupt_in_the_workers_jump_map_leaves_no_child_or_fd(
+            self, forks, t_stop):
+        caller, fds = os.getpid(), _fd_count()
+
+        def jump_map(t, x, u):
+            if os.getpid() != caller and t < t_stop:
+                raise KeyboardInterrupt
+            return x - u
+
+        prob = generic_problem(jump_map)
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+        assert _fd_count() == fds
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_jittered_processes_read_only_whole_rows(self, forks):
+        # random pauses in both processes, the caller's between the slot
+        # check and the read, shuffle the race between filling and reading
+        caller, rng = os.getpid(), np.random.default_rng(5)
+        pauses = rng.uniform(0.0, 4e-4, size=4096)
+        base = generic_problem(lambda t, x, u: x - u * (1.0 + t))
+
+        def pause(fn):
+            def coefficient(t, x, u):
+                time.sleep(pauses[(hash(t) + (os.getpid() != caller)) % pauses.size])
+                return fn(t, x, u)
+            return coefficient
+
+        prob = dataclasses.replace(base, drift_pre=pause(base.drift_pre),
+                                   jump_map=pause(base.jump_map))
+        want = _serial(prob, EQUIV_GRID)
+        for _ in range(3):
+            surf = solve_system(prob, EQUIV_GRID)
+            for got, ref in zip((surf.v_after, surf.v_pre, surf.policy), want):
+                np.testing.assert_array_equal(_bits(got), _bits(ref))
+        assert len(forks) == 3
+
+    def test_zero_hazard_opens_one_pipe_and_no_ring(self, forks, monkeypatch):
+        pipes, real = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real()) or pipes[-1])
+        prob = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=0.0)
+        solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1 and len(pipes) == 1
