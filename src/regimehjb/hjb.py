@@ -30,13 +30,11 @@ signalled. The post surface lives in an anonymous shared map that becomes
 the solved surface's v_after without a copy. The child also evaluates
 V_after at the jump targets of rows the caller reaches next (_PostWorker),
 so jump_map, which must be pure, may run there too, more than once per
-step time. Either way the
-surfaces are bitwise those of solve_after followed by solve_pre, and so are
-the errors and the hazard*dt warning: if either march fails, the child is
-killed and reaped and the post regime is solved again in the caller, which
-raises its error, if it has one, before the pre error is re-raised. A
-control-free post regime (such as merton_as_generic's) is too cheap to
-overlap and stays in the caller.
+step time. The surfaces are bitwise those of solve_after followed by
+solve_pre; whenever this path does not run to its end (a control-free post
+regime such as merton_as_generic's, no process to fork, a lost child, an
+error in the caller's pre march), the child is killed and reaped and
+solve_system runs those two, with their errors and hazard*dt warning.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import numbers
 import os
 import signal
 import sys
@@ -87,6 +86,9 @@ class GridSpec:
     control_nodes: np.ndarray
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.n_x, self.n_t)):
+            raise ValueError("n_x and n_t must be integers")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if not math.isfinite(self.x_max - self.x_min):    # and so is dx
@@ -288,12 +290,10 @@ class _Kernel:
         values, self.jump_values = self.jump_values, None
         jump = None
         if self.hazard > 0.0:
-            # hazard * (V_after(target) - V_pre), in place in the kernel's own buffer
+            # hazard * (V_after(target) - V_pre), in at_jump's own "jump" buffer
             if values is None:
-                jump = values = self.at_jump(t, v_after_row)
-            else:
-                jump = self._buf("coupling", values.shape)
-            np.subtract(values, v_row[:, None], out=jump)
+                values = self.at_jump(t, v_after_row)
+            jump = np.subtract(values, v_row[:, None], out=self._buf("jump", values.shape))
             np.multiply(jump, self.hazard, out=jump)
         # every term fits the mesh: n_x rows and one column or one per control
         terms = (drift, vol, cost) if jump is None else (drift, vol, cost, jump)
@@ -417,18 +417,15 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
 RING, LEAD, REPORT = 4, 2, 2
 
 
-class _WorkerLost(Exception):
-    """The post-switch worker ended before it signalled every row."""
-
-
 class _PostWorker:
     """Marches a controlled post regime in a forked child, ahead of the pre march.
 
-    post_row, the post march's hand-off, forks after the first row unless its
-    Hamiltonian had one control column; the child then writes its rows into
-    the shared map and signals them over a pipe, one byte a row, every 16
-    rows or, with a hazard, every row. pre_row, the pre march's, waits for
-    the post row the next pre step reads.
+    post_row, the post march's hand-off, ends the caller's post march after
+    the first row, forking first unless its Hamiltonian had one control
+    column; the child then writes its rows into the shared map and signals
+    each over a pipe with one byte. pre_row, the pre march's, waits for the
+    post row the next pre step reads; it raises ChildProcessError if the
+    child ended first.
 
     With a hazard, the child also fills RING mesh-sized slots of a second map,
     after each post row and then until the caller passes row 1, with at_jump
@@ -454,32 +451,28 @@ class _PostWorker:
         self.pid = None            # 0 in the child
         self.fds = []              # this process's ends of the rows, news and progress pipes
         self.ready = grid.n_t - 1  # the lowest post row the caller may read
-        self.unsent = 0
         self.next = grid.n_t       # the jump row the caller reads next, as last reported
         self.filled = grid.n_t + 1     # the lowest jump row the child filled
         self.held = [(-1, 0)] * RING   # the (row, width) of each slot, as announced
 
     def post_row(self, i: int, kernel: _Kernel) -> bool:
         if self.pid == 0:
-            self.unsent += 1
-            if i % 16 == 0 or self.ring is not None:
-                os.write(self.fds[0], bytes(self.unsent))
-                self.unsent = 0
+            os.write(self.fds[0], b"\0")
             # an error here ends the child like one in its post march
             if self.ring is not None and self._fill(i) and i == 0:
                 os.set_blocking(self.fds[2], True)     # the march is done: wait for reports
                 while self._fill(0):
                     pass
             return False
-        if i < self.ready or kernel.width == 1:
-            return False
+        if kernel.width == 1:      # too cheap to overlap: solved serially
+            return True
         pipes = [os.pipe() for _ in range(1 if self.ring is None else 3)]
         try:
             self.pid = os.fork()
-        except OSError:            # no process to spare: march on alone
+        except OSError:            # no process to spare: solved serially
             for fd in sum(pipes, ()):
                 os.close(fd)
-            return False
+            return True
         # the child keeps the write ends of rows and news and the read end of
         # progress, the caller the other ends
         child = self.pid == 0
@@ -512,7 +505,7 @@ class _PostWorker:
         while self.ready > i:
             got = os.read(self.fds[0], 4096)
             if not got:
-                raise _WorkerLost
+                raise ChildProcessError("the post-switch worker ended early")
             self.ready -= len(got)
         if self.ring is not None:
             with contextlib.suppress(BlockingIOError):  # whole records, each written at once
@@ -583,32 +576,25 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     """Post-switch solve and the coupled pre-switch solve.
 
     Each solve checks the control nodes; its steps check CFL and finiteness.
-    Surfaces and errors are those of solve_after followed by solve_pre, also
-    when a controlled post regime is marched in a forked worker (see the
-    module docstring).
+    A controlled post regime is marched in a forked worker beside the pre
+    march; whenever that does not run to its end, solve_after then solve_pre
+    give the result (see the module docstring).
     """
-    v_pre = error = None
+    v_pre = None
     if (sys.platform.startswith("linux") and hasattr(os, "fork")
             and threading.active_count() == 1):
         validate_grid_for(problem, grid)
         worker = _PostWorker(problem, grid)
         try:
             v_after = _march(problem, grid, out=worker.rows, handoff=worker.post_row)[0]
-            if worker.pid is None:        # a control-free post regime, marched here
-                v_pre, policy = solve_pre(problem, v_after, grid)
-            elif worker.pid > 0:
-                try:
+            if worker.pid:            # the caller, beside a forked worker
+                with contextlib.suppress(Exception):   # solved again below
                     v_pre, policy = _march(problem, grid, v_after, handoff=worker.pre_row)
-                except Exception as exc:  # settled below, in the serial order
-                    error = exc
-                else:                     # every post row arrived: the post solved
-                    _warn_coarse_hazard(problem, grid)
         finally:
             worker.stop()
     if v_pre is None:
         v_after = solve_after(problem, grid)
-        if error is not None and not isinstance(error, _WorkerLost):
-            _warn_coarse_hazard(problem, grid)
-            raise error
         v_pre, policy = solve_pre(problem, v_after, grid)
+    else:                             # every post row arrived: the post solved
+        _warn_coarse_hazard(problem, grid)
     return ValueSurface(v_pre=v_pre, v_after=v_after, policy=policy, grid=grid)

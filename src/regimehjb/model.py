@@ -93,7 +93,9 @@ class RegimeControlProblem:
     (``drift_post``, ``vol_post``, ``running_cost``) and ``jump_map`` may run
     in a forked worker process (see ``hjb.solve_system``), ``jump_map``
     possibly more than once per step time, so their side effects are not
-    seen by the caller.
+    seen by the caller. Those of the first post-switch step, and those of a
+    march that fails, may run a second time in the caller, which then
+    solves serially.
     """
 
     drift_pre: Callable
@@ -111,10 +113,11 @@ class RegimeControlProblem:
         lo, hi = self.control_bounds
         if not (lo < hi):
             raise ValueError("control_bounds must satisfy u_lo < u_hi")
-        if self.hazard < 0.0:
-            raise ValueError("hazard must be non-negative")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        # written so that NaN fails: the solver would take a NaN hazard for zero
+        if not 0.0 <= self.hazard < math.inf:
+            raise ValueError("hazard must be finite and non-negative")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.n_paths, numbers.Integral) or isinstance(self.n_paths, bool):
+            raise ValueError("n_paths must be an integer")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if not 0 <= self.seed < 2 ** 64:

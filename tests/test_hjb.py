@@ -57,6 +57,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**{**base, **kw})
 
+    @pytest.mark.parametrize("kw", [dict(n_x=41.0), dict(n_t=200.0), dict(n_x=True),
+                                    dict(n_t=True), dict(n_t="200")])
+    def test_rejects_counts_that_are_not_integers(self, kw):
+        base = dict(x_min=-4.0, x_max=4.0, n_x=41, n_t=200, control_nodes=NODES)
+        with pytest.raises(ValueError, match="must be integers"):
+            GridSpec(**{**base, **kw})
+        grid = GridSpec(**{**base, "n_x": np.int64(41), "n_t": np.int32(200)})
+        assert grid.x_nodes.size == 41 and grid.times(1.0).size == 201
+
     def test_freezes_a_copy_not_the_callers_nodes(self):
         nodes = np.linspace(0.0, 3.0, 61)
         g = GridSpec(x_min=-4.0, x_max=4.0, n_x=101, n_t=200, control_nodes=nodes)
@@ -822,6 +831,34 @@ class TestPipelinedSolve:
         surf = solve_system(prob, grid)
         assert forks == []
         _assert_serial_bits(surf, prob, grid)
+
+    def test_refused_fork_gives_the_serial_solve(self, monkeypatch):
+        def refuse():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = _fd_count()
+        prob = generic_problem(lambda t, x, u: x - u)
+        surf = solve_system(prob, EQUIV_GRID)
+        _assert_no_child()
+        assert _fd_count() == fds
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
+
+    def test_read_error_in_the_caller_only_gives_the_serial_solve(self, forks, monkeypatch):
+        caller, real = os.getpid(), os.read
+
+        def read(fd, n):
+            if os.getpid() == caller:
+                raise OSError("read failed in the caller")
+            return real(fd, n)
+
+        prob = generic_problem(lambda t, x, u: x - u)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "read", read)
+            surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == 1
+        _assert_no_child()
+        _assert_serial_bits(surf, prob, EQUIV_GRID)
 
 
 def _fd_count():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestRegimeControlProblem:
                 hazard=-0.1, jump_map=lambda t, x, u: x,
                 running_cost=lambda t, x, u: 0.0, terminal_cost=lambda x: -x,
                 control_bounds=(0.0, 1.0), horizon=1.0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("hazard", math.nan), ("hazard", math.inf),
+        ("horizon", math.nan), ("horizon", math.inf),
+    ])
+    def test_rejects_non_finite_hazard_and_horizon(self, field, bad):
+        # a NaN hazard passes "hazard < 0" and the solver's "hazard > 0"
+        # tests alike, and would be solved as zero hazard
+        prob = merton_as_generic(make_params())
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(prob, **{field: bad})
 
 
 class TestFCurve:

@@ -38,6 +38,12 @@ class TestConfigs:
             McConfig(n_paths=101, seed=0, antithetic=True)
         McConfig(n_paths=4, seed=0, antithetic=True)   # two pairs: the fewest
 
+    @pytest.mark.parametrize("n_paths", [1e4, np.float64(1e4), True, "10000"])
+    def test_mc_config_rejects_a_path_count_that_is_not_an_integer(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            McConfig(n_paths=n_paths, seed=0)
+        assert McConfig(n_paths=np.int64(10_000), seed=0).n_paths == 10_000
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             McEstimate(mean=0.0, std_error=-1.0, n_paths=10, seed=0)
