@@ -17,12 +17,13 @@ _LEAF_PATHS paths is mapped into a reused buffer and summed with
 np.add.reduce, and the leaf sums are added in tree order. A second pass
 maps each leaf again and sums its squared deviations from the mean.
 Antithetic mode takes its unit mean and deviations over the n/2 tree of
-pair averages. Each pass walks the leaves once for a block of policies,
-which evaluates a leaf's defaulted paths for all of them at once. The
-means and standard errors are bitwise those of evaluating the
-terminal-law formula per policy over every path and reducing with np.mean
-and np.std(ddof=1). A mean or standard error that is not finite raises
-NumericalError.
+pair averages. Each pass walks the leaves once for all of a thread's
+policies: a leaf's defaulted paths are read once, and their values are
+evaluated for a run of policies at a time, as many as fit a leaf's worth
+of memory. The means and standard errors are bitwise those of evaluating
+the terminal-law formula per policy over every path and reducing with
+np.mean and np.std(ddof=1). A mean or standard error that is not finite
+raises NumericalError.
 
 The work runs on up to _MAX_WORKERS threads (fewer when the process may
 use fewer CPUs or the grid has fewer policies). The normals are drawn
@@ -35,8 +36,8 @@ the array passes. Every policy is still reduced whole by one thread, so
 results are bitwise independent of the worker count, and a failing sweep
 raises the error of its lowest failing policy, as a serial loop would.
 Memory is the normal draws and the table of defaulted paths, plus per
-worker a leaf buffer and a scratch for one leaf's defaulted paths under a
-block of policies, which holds about a leaf's worth of values.
+worker a leaf buffer, the policy-free parts of one leaf's defaulted paths
+and their values under a run of policies, a few leaves' worth in all.
 """
 
 from __future__ import annotations
@@ -84,8 +85,14 @@ class McConfig:
             raise ValueError("n_paths must be an integer")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
+        # a plain int: a numpy integer cannot hold the Philox key it goes into
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
+        if not isinstance(self.antithetic, bool):
+            raise ValueError("antithetic must be a bool")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic pairing requires an even n_paths")
         if self.antithetic and self.n_paths < 4:
@@ -113,7 +120,7 @@ def sample_default_time(h: float, u):
     u is a uniform (0,1) draw (vectorized over arrays); zero hazard means
     the switch never fires, reported as +inf.
     """
-    if h < 0.0:
+    if not h >= 0.0:        # written so that NaN fails
         raise ValueError("hazard must be non-negative")
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
@@ -142,44 +149,31 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
         raise ValueError("tau must be a non-negative time or +inf")
     z_flat, tau_flat = np.ravel(z_arr), np.ravel(tau_arr)
     hit = np.flatnonzero(tau_flat < params.horizon_T)
-    law = _Policies(_PathTable(z_flat, hit, tau_flat[hit]), params, loss, [pi],
-                    np.empty(2 * hit.size))
+    law = _Policies((z_flat, hit, tau_flat[hit]), params, loss, [pi])
     if law.error is not None:
         raise law.error
-    out = law.fill(0, 0, z_flat.size, law.defaulted(0, z_flat.size), np.empty(z_flat.size))
+    law.leaf(0, z_flat.size)
+    out = law.fill(0, 0, z_flat.size, np.empty(z_flat.size))
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-class _PathTable:
-    """The draws of every path, as the terminal law uses them.
-
-    A path that survives to T enters only through its normal draw z. The
-    paths that default before T are kept as ascending indices, with their
-    default time.
-    """
-
-    def __init__(self, z: np.ndarray, hit: np.ndarray, tau_hit: np.ndarray):
-        self.z, self.hit, self.tau_hit = z, hit, tau_hit
-
-
 class _Policies:
-    """Terminal log wealth under a block of policies, one path range at a
+    """Terminal log wealth under a list of policies, one leaf of paths at a
     time, with the association of the formula in simulate_terminal_log_wealth.
 
-    defaulted evaluates a range's defaulted paths under every policy of the
-    block at once, in scratch: room for 2 x policies x the defaulted paths
-    of any range asked for. fill then writes one policy's values of the
-    range into a caller's buffer. The block ends before the first policy
-    whose law raises (a linear loss at pi >= 1, say), and error holds that
-    exception for the caller to raise once it has checked the policies
-    before it.
+    draws is the path table (z, hit, tau_hit): every path's normal draw, and
+    the ascending indices of the paths that default before T with their
+    default times. leaf reads one leaf's defaulted paths and keeps what no
+    policy changes; fill then writes one policy's values of that leaf into
+    a caller's buffer. The policies end before the first one whose law
+    raises (a linear loss at pi >= 1, say), and error holds that exception
+    for the caller to raise once it has checked the policies before it.
     """
 
-    def __init__(self, table: _PathTable, params: MarketParams, loss: DefaultLossModel,
-                 pis, scratch: np.ndarray):
+    def __init__(self, draws, params: MarketParams, loss: DefaultLossModel, pis):
         T = self.T = params.horizon_T
         self.r = params.r
-        self.table = table
+        self.z, self.hit, self.tau_hit = draws
         self.log_w0 = math.log(params.w0)
         self.pis, self.error = [], None
         # per policy: scale and shift of a survivor's z, and (as columns)
@@ -197,39 +191,43 @@ class _Policies:
             self.survived.append((scale * math.sqrt(T), self.log_w0 + alpha * T))
             cols.append((alpha, scale, drop))
         self.alpha, self.scale, self.drop = np.reshape(cols, (-1, 3)).T[:, :, None]
-        self.scratch = scratch
 
-    def defaulted(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Offsets from lo of the defaulted paths among lo..hi-1, and their
-        values under every policy of the block (one row each), valid until
-        the next call."""
-        t = self.table
-        k = slice(*t.hit.searchsorted((lo, hi)))
-        hit, tau = t.hit[k], t.tau_hit[k]
-        shape = (2, len(self.pis), tau.size)
-        vals, tmp = self.scratch[:math.prod(shape)].reshape(shape)
-        # log w0 + alpha tau + scale sqrt(tau) z + drop + r (T - tau), left to right
-        np.add(self.log_w0, np.multiply(self.alpha, tau, out=vals), out=vals)
-        np.multiply(self.scale, np.sqrt(tau), out=tmp)
-        np.add(vals, np.multiply(tmp, t.z[hit], out=tmp), out=vals)
-        np.add(vals, self.drop, out=vals)
-        np.add(vals, self.r * (self.T - tau), out=vals)
-        return hit - lo, vals
+    def leaf(self, lo: int, hi: int) -> None:
+        """Read the defaulted paths among lo..hi-1, for fills of that range."""
+        self.run, self.values = range(0), None   # no policy's values for this leaf yet
+        k = slice(*self.hit.searchsorted((lo, hi)))
+        hit, self.tau = self.hit[k], self.tau_hit[k]
+        self.offsets = hit - lo
+        self.sqrt_tau, self.z_hit = np.sqrt(self.tau), self.z[hit]
+        self.growth = self.r * (self.T - self.tau)
 
-    def fill(self, j: int, lo: int, hi: int, defaulted, out: np.ndarray) -> np.ndarray:
-        """Write paths lo..hi-1 under policy j into out[:hi - lo] and return
-        that slice; defaulted is self.defaulted(lo, hi)."""
+    def fill(self, j: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Write paths lo..hi-1, the range of the last leaf call, under
+        policy j into out[:hi - lo] and return that slice."""
+        if j not in self.run:
+            # a run of policies from j, as many as fit a leaf's worth of values
+            # (the last run's are freed first: a share holds one run's at a time)
+            size = max(1, _LEAF_PATHS // max(1, 2 * self.tau.size))
+            self.run, self.values = range(j, min(j + size, len(self.pis))), None
+            rows = slice(j, self.run.stop)
+            vals, tmp = np.empty((2, len(self.run), self.tau.size))
+            # log w0 + alpha tau + scale sqrt(tau) z + drop + r (T - tau), left to right
+            np.add(self.log_w0, np.multiply(self.alpha[rows], self.tau, out=vals), out=vals)
+            np.multiply(self.scale[rows], self.sqrt_tau, out=tmp)
+            np.add(vals, np.multiply(tmp, self.z_hit, out=tmp), out=vals)
+            np.add(vals, self.drop[rows], out=vals)
+            np.add(vals, self.growth, out=vals)
+            self.values = vals
         scale, shift = self.survived[j]
         # every path as if it survived to T, then the defaulted ones
-        out = np.multiply(self.table.z[lo:hi], scale, out=out[:hi - lo])
+        out = np.multiply(self.z[lo:hi], scale, out=out[:hi - lo])
         np.add(out, shift, out=out)
-        offsets, values = defaulted
-        out[offsets] = values[j]
+        out[self.offsets] = self.values[j - self.run.start]
         return out
 
 
-def _draw_table(params: MarketParams, cfg: McConfig) -> _PathTable:
-    """The path table of cfg's draws.
+def _draw_table(params: MarketParams, cfg: McConfig):
+    """The path table (z, hit, tau_hit) of cfg's draws.
 
     Element i of each stream belongs to path i. The normals are drawn whole
     on a helper thread; antithetic mode fills consecutive pairs (z, -z) from
@@ -267,7 +265,7 @@ def _draw_table(params: MarketParams, cfg: McConfig) -> _PathTable:
     # the caller's thread runs sample_default_time: tracers of the public
     # functions keep one span stack
     _in_threads([defaults, normals])
-    return _PathTable(draws["z"], draws["hit"], draws["tau_hit"])
+    return draws["z"], draws["hit"], draws["tau_hit"]
 
 
 def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
@@ -282,13 +280,14 @@ def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
 
 
 def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray) -> List[McEstimate]:
-    """For each policy of the block: np.mean of every path's terminal log wealth
+    """For each of law's policies: np.mean of every path's terminal log wealth
     and np.std(units, ddof=1) / sqrt(units.size), bit for bit.
 
-    Each pass walks the leaves of numpy's tree once for the whole block,
+    Each pass walks the leaves of numpy's tree once for all the policies,
     mapping one policy's leaf of at most _LEAF_PATHS paths at a time into
-    buf: a leaf of normals is read from memory once per pass and block, and
-    then stays in cache for the block's other policies.
+    buf: a leaf of normals is read from memory once per pass and then stays
+    in cache for the other policies, and its defaulted paths are gathered
+    once per pass.
     """
     n = cfg.n_paths
     # antithetic pairs are correlated by construction; the independent
@@ -300,10 +299,10 @@ def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray) -> List[McE
         """Per policy, np.add.reduce over n_elems elements, each the average
         of paths_per consecutive paths, passed through finish(j, leaf)."""
         def leaf_sums(lo, hi):
-            defaulted = law.defaulted(paths_per * lo, paths_per * hi)
+            law.leaf(paths_per * lo, paths_per * hi)
             sums = np.empty(len(law.pis))
             for j in range(sums.size):
-                vals = law.fill(j, paths_per * lo, paths_per * hi, defaulted, buf)
+                vals = law.fill(j, paths_per * lo, paths_per * hi, buf)
                 if paths_per == 2:
                     vals = np.add(vals[0::2], vals[1::2], out=buf[:hi - lo])
                     np.multiply(vals, 0.5, out=vals)
@@ -337,8 +336,10 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     """Estimate every policy on the grid with common random numbers.
 
     The same (tau, z) draws are reused for every grid point, so the
-    empirical argmax is a low-variance comparison. Returns the per-point
-    estimates and the maximizing index (ties resolve to the smallest pi).
+    empirical argmax is a low-variance comparison. Each thread's share of
+    the grid is one _Policies, reduced in one walk of the leaves per pass.
+    Returns the per-point estimates and the maximizing index (ties resolve
+    to the smallest pi).
     """
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
@@ -346,34 +347,21 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     if pi_arr.size > 1 and not np.all(np.diff(pi_arr) > 0.0):
         raise ValueError("pi_grid must be strictly ascending")
 
-    table = _draw_table(params, cfg)
+    draws = _draw_table(params, cfg)
     points: List[Tuple[float, McEstimate]] = [None] * pi_arr.size
 
-    # a block of policies evaluates a leaf's defaulted paths at once, in a
-    # scratch of at most a leaf's size (unless one policy needs more)
-    hit = table.hit
-    most_hit = int(np.max(np.searchsorted(hit, hit + _LEAF_PATHS) - np.arange(hit.size),
-                          initial=1))
-    block = max(1, _LEAF_PATHS // (2 * most_hit))
-
     def estimate_range(lo: int, hi: int) -> None:
-        buf = np.empty(min(cfg.n_paths, _LEAF_PATHS))
-        scratch = np.empty(2 * min(block, hi - lo) * most_hit)
         # numpy's error state is per thread; a non-finite intermediate
         # leaves a non-finite mean or std, which raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(lo, hi, block):
-                law = _Policies(table, params, loss,
-                                [float(pi) for pi in pi_arr[start:min(start + block, hi)]],
-                                scratch)
-                ests = _reduce_policies(law, cfg, buf)
-                for idx, (pi, est) in enumerate(zip(law.pis, ests), start):
-                    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-                        raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} "
-                                             "is not finite")
-                    points[idx] = (pi, est)
-                if law.error is not None:
-                    raise law.error
+            law = _Policies(draws, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
+            ests = _reduce_policies(law, cfg, np.empty(min(cfg.n_paths, _LEAF_PATHS)))
+        for idx, (pi, est) in enumerate(zip(law.pis, ests), lo):
+            if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+                raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
+            points[idx] = (pi, est)
+        if law.error is not None:
+            raise law.error
 
     # contiguous shares in grid order: the first share that fails holds the
     # lowest failing policy, the one a serial loop would report

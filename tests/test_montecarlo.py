@@ -44,6 +44,23 @@ class TestConfigs:
             McConfig(n_paths=n_paths, seed=0)
         assert McConfig(n_paths=np.int64(10_000), seed=0).n_paths == 10_000
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "5", None])
+    def test_mc_config_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            McConfig(n_paths=100, seed=seed)
+
+    def test_a_numpy_integer_seed_gives_that_seeds_draws(self):
+        cfg = McConfig(n_paths=100, seed=np.int64(5))
+        assert type(cfg.seed) is int and cfg.seed == 5
+        est = estimate(ACCEPT, 0.5, EXP, cfg)
+        assert type(est.seed) is int
+        assert est == estimate(ACCEPT, 0.5, EXP, McConfig(n_paths=100, seed=5))
+
+    @pytest.mark.parametrize("antithetic", ["no", 0, 1, None])
+    def test_mc_config_rejects_an_antithetic_switch_that_is_not_a_bool(self, antithetic):
+        with pytest.raises(ValueError, match="antithetic must be a bool"):
+            McConfig(n_paths=100, seed=0, antithetic=antithetic)
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             McEstimate(mean=0.0, std_error=-1.0, n_paths=10, seed=0)
@@ -84,6 +101,12 @@ class TestSampleDefaultTime:
     def test_rejects_negative_hazard(self):
         with pytest.raises(ValueError):
             sample_default_time(-0.1, 0.5)
+
+    @pytest.mark.parametrize("h", [math.nan, np.float64("nan")])
+    def test_rejects_nan_hazard(self, h):
+        # a NaN default time is not < T, so its path would pass as a survivor
+        with pytest.raises(ValueError, match="hazard"):
+            sample_default_time(h, np.array([0.25, 0.5]))
 
 
 class TestSimulateTerminalLogWealth:
@@ -407,23 +430,62 @@ class TestLeafwiseReduction:
         sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=3 * LEAF + 5, seed=4))
         assert len(threads) == 4 and set(threads) == {threading.current_thread()}
 
+    @pytest.mark.parametrize("h", [0.02, 5.0], ids=["low-hazard", "high-hazard"])
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_peak_memory_is_the_normals_and_a_few_leaves(self, monkeypatch, max_workers,
-                                                         antithetic):
-        # the resident normals (8 bytes a path), and per worker a leaf buffer
-        # and a scratch for one leaf's defaulted paths; a whole-array
+                                                         antithetic, h):
+        # the resident normals (8 bytes a path), the table of defaulted
+        # paths (16 bytes a defaulted path, twice that while the per-leaf
+        # pieces are joined), and per worker a few leaves; a whole-array
         # temporary would add 8 bytes a path
         _WorkerSpy(monkeypatch, max_workers, cpus=2)
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         n_paths = 400_000
         cfg = McConfig(n_paths=n_paths, seed=3, antithetic=antithetic)
         tracemalloc.start()
         try:
-            sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
+            sweep(params, EXP, GRIDS[EXP], cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n_paths * 1.25 + 4 * 2 ** 20
+        defaulted = -math.expm1(-h * params.horizon_T)
+        assert peak < (8 + 32 * defaulted) * n_paths * 1.25 + 4 * 2 ** 20
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("h", [0.02, 5.0])
+    def test_each_pass_reads_each_leaf_once_per_share(self, monkeypatch, h, antithetic):
+        # blocks of policies within a share would walk the leaves once per block
+        _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        calls = {}
+        read_leaf = montecarlo._Policies.leaf
+
+        def spy(law, lo, hi):
+            calls.setdefault(threading.current_thread(), []).append((lo, hi))
+            return read_leaf(law, lo, hi)
+
+        monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
+        n_paths = 3 * LEAF + 6
+        sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=5, antithetic=antithetic))
+
+        def leaves_of(n_units, width):
+            leaves = []
+
+            def record(lo, hi):
+                leaves.append((width * lo, width * hi))
+                return 0.0
+
+            montecarlo._tree_sum(n_units, LEAF // width, record)
+            return leaves
+
+        # plain: the mean and the deviations over the n tree; antithetic:
+        # the mean over the n tree, then two passes over the n/2 tree
+        passes = ([leaves_of(n_paths, 1)] + [leaves_of(n_paths // 2, 2)] * 2 if antithetic
+                  else [leaves_of(n_paths, 1)] * 2)
+        assert len(calls) == 2
+        for got in calls.values():
+            assert got == [leaf for walk in passes for leaf in walk]
 
 
 class TestNonFiniteEstimates:
