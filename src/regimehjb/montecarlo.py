@@ -8,41 +8,49 @@ are driven by the counter-based Philox generator so that path i's draws
 are a pure function of (seed, stream, i): re-runs are bit-identical and
 results do not depend on evaluation order.
 
-A sweep keeps one per-path table of its draws: surviving paths enter a
-policy only through z, and the paths that default before T are kept as
-indices with their default time. The policies are mapped and reduced one
-leaf at a time along numpy's pairwise-summation tree (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., 4.2): a leaf of at most
-_LEAF_PATHS paths is mapped into a reused buffer and summed with
-np.add.reduce, and the leaf sums are added in tree order. A second pass
-maps each leaf again and sums its squared deviations from the mean.
-Antithetic mode takes its unit mean and deviations over the n/2 tree of
-pair averages. Each pass walks the leaves once for all of a thread's
-policies: a leaf's defaulted paths are read once, and their values are
-evaluated for a run of policies at a time, as many as fit a leaf's worth
-of memory. The means and standard errors are bitwise those of evaluating
-the terminal-law formula per policy over every path and reducing with
-np.mean and np.std(ddof=1). A mean or standard error that is not finite
-raises NumericalError.
+A sweep keeps one table of its draws, the paths that default before T as
+indices with their default time; surviving paths enter a policy only
+through their normal draw z, which is not kept. The policies are mapped
+and reduced one leaf at a time along numpy's pairwise-summation tree
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2):
+a leaf of at most _LEAF_PATHS paths is mapped into a reused buffer and
+summed with np.add.reduce, and the leaf sums are added in tree order. A
+second pass maps each leaf again and sums its squared deviations from
+the mean. Antithetic mode takes its unit mean and deviations over the
+n/2 tree of pair averages. Each pass walks the leaves once for all of a
+thread's policies: a leaf's defaulted paths are read once, and their
+values are evaluated for a run of policies at a time, as many as fit a
+leaf's worth of memory. The means and standard errors are bitwise those
+of evaluating the terminal-law formula per policy over every path and
+reducing with np.mean and np.std(ddof=1). A mean or standard error that
+is not finite raises NumericalError.
 
-The work runs on up to _MAX_WORKERS threads (fewer when the process may
-use fewer CPUs or the grid has fewer policies). The normals are drawn
-whole on a helper thread while the caller draws the uniforms one leaf at
-a time (Philox draws made in consecutive pieces equal one large draw;
-Salmon et al., SC'11), turns them into default times and keeps the paths
-that default. The policy grid is then cut into contiguous shares, the
-first for the caller's thread. numpy releases the GIL in the draws and
-the array passes. Every policy is still reduced whole by one thread, so
-results are bitwise independent of the worker count, and a failing sweep
-raises the error of its lowest failing policy, as a serial loop would.
-Memory is the normal draws and the table of defaulted paths, plus per
-worker a leaf buffer, the policy-free parts of one leaf's defaulted paths
-and their values under a run of policies, a few leaves' worth in all.
+The policy grid is cut into contiguous shares, one per thread, up to
+_MAX_WORKERS threads (fewer when the process may use fewer CPUs or the
+grid has fewer policies), the first for the caller's thread. The normals
+are streamed: each pass's normals are drawn once, leaf by leaf in tree
+order, into a ring of _RING_LEAVES leaf slots that every share reads, so
+no share runs more than the ring's depth ahead of the slowest (Philox
+draws made in consecutive pieces equal one large draw; Salmon et al.,
+SC'11). A helper thread draws the first leaves while the caller draws the
+uniforms one leaf at a time, turns them into default times and keeps the
+paths that default; after that, the first share to need a leaf draws it.
+numpy releases the GIL in the draws and the array passes. Every policy is
+still reduced whole by one thread, so results are bitwise independent of
+the worker count, and a failing sweep raises the error of its lowest
+failing policy, as a serial loop would; a failing draw or a
+KeyboardInterrupt stops every thread and is raised instead.
+Every thread is joined before the sweep returns or raises. Memory is the
+table of defaulted paths and the ring, plus per share a leaf buffer, the
+policy-free parts of one leaf's defaulted paths and their values under a
+run of policies, a few leaves' worth in all: at low hazard it does not
+grow with the path count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -71,6 +79,10 @@ _MAX_WORKERS = 2
 # (tests/test_montecarlo.py pins this on the installed numpy)
 _LEAF_PATHS = 65536
 
+# the normals of a sweep are drawn into a ring of this many leaf slots, so
+# no share runs more than this many leaves ahead of the slowest one
+_RING_LEAVES = 4
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -87,7 +99,9 @@ class McConfig:
             raise ValueError("n_paths must be at least 2")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError("seed must be an integer")
-        # a plain int: a numpy integer cannot hold the Philox key it goes into
+        # plain ints: a numpy integer cannot hold the Philox key the seed goes
+        # into, and json cannot write one
+        object.__setattr__(self, "n_paths", int(self.n_paths))
         object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
@@ -123,7 +137,7 @@ def sample_default_time(h: float, u):
     if not h >= 0.0:        # written so that NaN fails
         raise ValueError("hazard must be non-negative")
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not (np.all(u_arr > 0.0) and np.all(u_arr < 1.0)):     # NaN fails too
         raise ValueError("u must lie strictly inside (0, 1)")
     if h == 0.0:
         out = np.full_like(u_arr, np.inf)
@@ -149,11 +163,11 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
         raise ValueError("tau must be a non-negative time or +inf")
     z_flat, tau_flat = np.ravel(z_arr), np.ravel(tau_arr)
     hit = np.flatnonzero(tau_flat < params.horizon_T)
-    law = _Policies((z_flat, hit, tau_flat[hit]), params, loss, [pi])
+    law = _Policies((hit, tau_flat[hit]), params, loss, [pi])
     if law.error is not None:
         raise law.error
-    law.leaf(0, z_flat.size)
-    out = law.fill(0, 0, z_flat.size, np.empty(z_flat.size))
+    law.leaf(0, z_flat)
+    out = law.fill(0, np.empty(z_flat.size))
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
@@ -161,19 +175,19 @@ class _Policies:
     """Terminal log wealth under a list of policies, one leaf of paths at a
     time, with the association of the formula in simulate_terminal_log_wealth.
 
-    draws is the path table (z, hit, tau_hit): every path's normal draw, and
-    the ascending indices of the paths that default before T with their
-    default times. leaf reads one leaf's defaulted paths and keeps what no
-    policy changes; fill then writes one policy's values of that leaf into
-    a caller's buffer. The policies end before the first one whose law
+    defaults is the table (hit, tau_hit): the ascending indices of the paths
+    that default before T, with their default times. leaf takes one leaf's
+    normals, reads its defaulted paths and keeps what no policy changes;
+    fill then writes one policy's values of that leaf into a caller's
+    buffer. The policies end before the first one whose law
     raises (a linear loss at pi >= 1, say), and error holds that exception
     for the caller to raise once it has checked the policies before it.
     """
 
-    def __init__(self, draws, params: MarketParams, loss: DefaultLossModel, pis):
+    def __init__(self, defaults, params: MarketParams, loss: DefaultLossModel, pis):
         T = self.T = params.horizon_T
         self.r = params.r
-        self.z, self.hit, self.tau_hit = draws
+        self.hit, self.tau_hit = defaults
         self.log_w0 = math.log(params.w0)
         self.pis, self.error = [], None
         # per policy: scale and shift of a survivor's z, and (as columns)
@@ -192,18 +206,19 @@ class _Policies:
             cols.append((alpha, scale, drop))
         self.alpha, self.scale, self.drop = np.reshape(cols, (-1, 3)).T[:, :, None]
 
-    def leaf(self, lo: int, hi: int) -> None:
-        """Read the defaulted paths among lo..hi-1, for fills of that range."""
+    def leaf(self, lo: int, z: np.ndarray) -> None:
+        """Take the leaf of paths lo..lo+z.size-1, whose normals are z (held
+        until the next leaf call), and read its defaulted paths."""
         self.run, self.values = range(0), None   # no policy's values for this leaf yet
-        k = slice(*self.hit.searchsorted((lo, hi)))
-        hit, self.tau = self.hit[k], self.tau_hit[k]
-        self.offsets = hit - lo
-        self.sqrt_tau, self.z_hit = np.sqrt(self.tau), self.z[hit]
+        self.z = z
+        k = slice(*self.hit.searchsorted((lo, lo + z.size)))
+        self.offsets, self.tau = self.hit[k] - lo, self.tau_hit[k]
+        self.sqrt_tau, self.z_hit = np.sqrt(self.tau), z[self.offsets]
         self.growth = self.r * (self.T - self.tau)
 
-    def fill(self, j: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Write paths lo..hi-1, the range of the last leaf call, under
-        policy j into out[:hi - lo] and return that slice."""
+    def fill(self, j: int, out: np.ndarray) -> np.ndarray:
+        """Write the last leaf's paths under policy j into out[:z.size] and
+        return that slice."""
         if j not in self.run:
             # a run of policies from j, as many as fit a leaf's worth of values
             # (the last run's are freed first: a share holds one run's at a time)
@@ -220,52 +235,134 @@ class _Policies:
             self.values = vals
         scale, shift = self.survived[j]
         # every path as if it survived to T, then the defaulted ones
-        out = np.multiply(self.z[lo:hi], scale, out=out[:hi - lo])
+        out = np.multiply(self.z, scale, out=out[:self.z.size])
         np.add(out, shift, out=out)
         out[self.offsets] = self.values[j - self.run.start]
         return out
 
 
 def _draw_table(params: MarketParams, cfg: McConfig):
-    """The path table (z, hit, tau_hit) of cfg's draws.
+    """The defaulted paths (hit, tau_hit) of cfg's draws: the ascending
+    indices of the paths that default before T, and their default times.
 
-    Element i of each stream belongs to path i. The normals are drawn whole
-    on a helper thread; antithetic mode fills consecutive pairs (z, -z) from
-    half as many normals. Meanwhile the caller draws the uniforms one leaf
-    at a time, turns them into default times and keeps the paths that
-    default before T. Each stream has its own generator, so the draws do
-    not depend on the threads or the pieces.
+    Element i of the uniform stream belongs to path i. The uniforms are
+    drawn one leaf at a time, on the caller's thread (tracers of the public
+    functions keep one span stack), and turned into default times.
     """
     T = params.horizon_T
-    draws = {}
+    g_tau = np.random.Generator(np.random.Philox(key=(_TAU_STREAM << 64) | cfg.seed))
+    hits, taus = [], []
+    for lo in range(0, cfg.n_paths, _LEAF_PATHS):
+        u = g_tau.random(min(_LEAF_PATHS, cfg.n_paths - lo))
+        # random() can return exactly 0; nudge to keep the inverse-CDF finite
+        tau = sample_default_time(params.h, np.maximum(u, np.finfo(float).tiny, out=u))
+        hit = np.flatnonzero(tau < T)
+        taus.append(tau[hit])
+        hits.append(np.add(hit, lo, out=hit))
+    return np.concatenate(hits), np.concatenate(taus)
 
-    def defaults():
-        g_tau = np.random.Generator(np.random.Philox(key=(_TAU_STREAM << 64) | cfg.seed))
-        hits, taus = [], []
-        for lo in range(0, cfg.n_paths, _LEAF_PATHS):
-            u = g_tau.random(min(_LEAF_PATHS, cfg.n_paths - lo))
-            # random() can return exactly 0; nudge to keep the inverse-CDF finite
-            tau = sample_default_time(params.h, np.maximum(u, np.finfo(float).tiny, out=u))
-            hit = np.flatnonzero(tau < T)
-            taus.append(tau[hit])
-            hits.append(np.add(hit, lo, out=hit))
-        draws["hit"], draws["tau_hit"] = np.concatenate(hits), np.concatenate(taus)
 
-    def normals():
-        g_z = np.random.Generator(np.random.Philox(key=(_Z_STREAM << 64) | cfg.seed))
-        if cfg.antithetic:
-            half = g_z.standard_normal(cfg.n_paths // 2)
-            z = np.empty(cfg.n_paths)
-            z[0::2] = half
-            z[1::2] = -half
-        else:
-            z = g_z.standard_normal(cfg.n_paths)
-        draws["z"] = z
+class _StreamEnded(Exception):
+    """Raised where normals are drawn or read after their stream ended."""
 
-    # the caller's thread runs sample_default_time: tracers of the public
-    # functions keep one span stack
-    _in_threads([defaults, normals])
-    return draws["z"], draws["hit"], draws["tau_hit"]
+
+class _Normals:
+    """A sweep's normals, streamed into a ring of _RING_LEAVES leaf slots
+    that every share reads. Each pass of _reduce_policies draws them once,
+    leaf by leaf in tree order, from a fresh generator of the normal
+    stream; antithetic mode fills pairs (z, -z) from half as many normals.
+
+    A helper thread draws the first leaves while the caller draws the
+    uniforms. After that, the first share to need a leaf that is not drawn
+    yet draws it, one draw at a time, so no share waits on a thread that
+    has no work of its own. reader(k) is share k's reader: each call
+    returns the normals of the share's next leaf. A slot is drawn again
+    only once every share that has not left has moved past it. end stops
+    the draws and every reader, which then raise _StreamEnded; failure is
+    the exception that ended the stream, if any.
+    """
+
+    def __init__(self, cfg: McConfig, n_readers: int):
+        self.antithetic, self.key = cfg.antithetic, (_Z_STREAM << 64) | cfg.seed
+        self.slots = np.empty((_RING_LEAVES, min(cfg.n_paths, _LEAF_PATHS)))
+        self.half = np.empty(self.slots.shape[1] // 2 if cfg.antithetic else 0)
+        # the paths of each leaf and the first leaf of each pass: the mean
+        # over the n tree, in antithetic mode the pair averages' mean, and
+        # the deviations of the units (paths or pair averages)
+        width, self.leaves, self.starts = (2 if cfg.antithetic else 1), [], set()
+        for units, per in [(cfg.n_paths, 1)] + [(cfg.n_paths // width, width)] * width:
+            self.starts.add(len(self.leaves))
+            _tree_sum(units, _LEAF_PATHS // per,
+                      lambda lo, hi: self.leaves.append(per * (hi - lo)) or 0.0)
+        self.released = [0] * n_readers      # per reader, the leaves it is done with
+        self.drawn, self.drawing, self.ended, self.failure = 0, False, False, None
+        self.cond = threading.Condition()
+        self.thread = threading.Thread(target=self._draw_first)
+        self.thread.start()
+
+    def _draw_first(self) -> None:
+        with self.cond:
+            try:
+                while self._draw_next():
+                    pass
+            except _StreamEnded:
+                pass
+
+    def _draw_next(self) -> bool:
+        """With cond held, draw the next leaf, unless another thread draws,
+        the ring is full or every leaf is drawn; True if it drew one."""
+        if (self.drawing or self.ended or self.drawn == len(self.leaves)
+                or self.drawn >= min(self.released) + _RING_LEAVES):
+            return False
+        self.drawing, n_paths = True, self.leaves[self.drawn]
+        self.cond.release()
+        try:
+            if self.drawn in self.starts:
+                self.g_z = np.random.Generator(np.random.Philox(key=self.key))
+            z = self.slots[self.drawn % _RING_LEAVES, :n_paths]
+            if self.antithetic:
+                z[0::2] = self.g_z.standard_normal(out=self.half[:n_paths // 2])
+                np.negative(z[0::2], out=z[1::2])
+            else:
+                self.g_z.standard_normal(out=z)
+        except BaseException as exc:       # a failing draw stops every reader
+            self.end(exc)
+            raise _StreamEnded
+        finally:
+            self.cond.acquire()
+            self.drawing = False
+        self.drawn += 1
+        self.cond.notify_all()
+        return True
+
+    def reader(self, k: int):
+        items = itertools.count()
+
+        def next_leaf(n_paths: int) -> np.ndarray:
+            item = next(items)
+            with self.cond:
+                self.released[k] = item
+                self.cond.notify_all()
+                while self.drawn <= item and not self.ended:
+                    if not self._draw_next():
+                        self.cond.wait()
+                if self.ended:
+                    raise _StreamEnded
+            return self.slots[item % _RING_LEAVES, :n_paths]
+
+        return next_leaf
+
+    def leave(self, k: int) -> None:
+        with self.cond:
+            self.released[k] = math.inf
+            self.cond.notify_all()
+
+    def end(self, failure: BaseException = None) -> None:
+        with self.cond:
+            if self.failure is None:
+                self.failure = failure
+            self.ended = True
+            self.cond.notify_all()
 
 
 def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
@@ -279,15 +376,16 @@ def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
     return _tree_sum(half, cap, leaf_sum, lo) + _tree_sum(n - half, cap, leaf_sum, lo + half)
 
 
-def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray) -> List[McEstimate]:
+def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray,
+                     next_normals) -> List[McEstimate]:
     """For each of law's policies: np.mean of every path's terminal log wealth
     and np.std(units, ddof=1) / sqrt(units.size), bit for bit.
 
     Each pass walks the leaves of numpy's tree once for all the policies,
-    mapping one policy's leaf of at most _LEAF_PATHS paths at a time into
-    buf: a leaf of normals is read from memory once per pass and then stays
-    in cache for the other policies, and its defaulted paths are gathered
-    once per pass.
+    taking each leaf's normals from next_normals(paths) and mapping one
+    policy's leaf of at most _LEAF_PATHS paths at a time into buf: a leaf
+    of normals stays in cache for the other policies, and its defaulted
+    paths are gathered once per pass.
     """
     n = cfg.n_paths
     # antithetic pairs are correlated by construction; the independent
@@ -299,10 +397,10 @@ def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray) -> List[McE
         """Per policy, np.add.reduce over n_elems elements, each the average
         of paths_per consecutive paths, passed through finish(j, leaf)."""
         def leaf_sums(lo, hi):
-            law.leaf(paths_per * lo, paths_per * hi)
+            law.leaf(paths_per * lo, next_normals(paths_per * (hi - lo)))
             sums = np.empty(len(law.pis))
             for j in range(sums.size):
-                vals = law.fill(j, paths_per * lo, paths_per * hi, buf)
+                vals = law.fill(j, buf)
                 if paths_per == 2:
                     vals = np.add(vals[0::2], vals[1::2], out=buf[:hi - lo])
                     np.multiply(vals, 0.5, out=vals)
@@ -337,9 +435,10 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
 
     The same (tau, z) draws are reused for every grid point, so the
     empirical argmax is a low-variance comparison. Each thread's share of
-    the grid is one _Policies, reduced in one walk of the leaves per pass.
-    Returns the per-point estimates and the maximizing index (ties resolve
-    to the smallest pi).
+    the grid is one _Policies, reduced in one walk of the leaves per pass;
+    every share reads its normals from one _Normals stream, which starts
+    drawing before the caller draws the uniforms. Returns the per-point
+    estimates and the maximizing index (ties resolve to the smallest pi).
     """
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
@@ -347,15 +446,22 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     if pi_arr.size > 1 and not np.all(np.diff(pi_arr) > 0.0):
         raise ValueError("pi_grid must be strictly ascending")
 
-    draws = _draw_table(params, cfg)
     points: List[Tuple[float, McEstimate]] = [None] * pi_arr.size
 
-    def estimate_range(lo: int, hi: int) -> None:
-        # numpy's error state is per thread; a non-finite intermediate
-        # leaves a non-finite mean or std, which raises
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            law = _Policies(draws, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
-            ests = _reduce_policies(law, cfg, np.empty(min(cfg.n_paths, _LEAF_PATHS)))
+    def estimate_range(k: int, lo: int, hi: int) -> None:
+        try:
+            # numpy's error state is per thread; a non-finite intermediate
+            # leaves a non-finite mean or std, which raises
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                law = _Policies(defaults, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
+                ests = _reduce_policies(law, cfg, np.empty(min(cfg.n_paths, _LEAF_PATHS)),
+                                        normals.reader(k))
+        except BaseException as exc:
+            if not isinstance(exc, Exception):   # a KeyboardInterrupt stops every share
+                normals.end(exc)
+            raise
+        finally:
+            normals.leave(k)
         for idx, (pi, est) in enumerate(zip(law.pis, ests), lo):
             if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
                 raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
@@ -369,8 +475,17 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
             else os.cpu_count() or 1)      # not every platform has an affinity
     n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
     edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
-    _in_threads([functools.partial(estimate_range, lo, hi)
-                 for lo, hi in zip(edges[:-1], edges[1:])])
+    normals = _Normals(cfg, n_workers)
+    try:
+        defaults = _draw_table(params, cfg)
+        _in_threads([functools.partial(estimate_range, k, lo, hi)
+                     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
+    finally:
+        normals.end()
+        normals.thread.join()
+        # a failing draw or a KeyboardInterrupt comes before any share's error
+        if normals.failure is not None:
+            raise normals.failure
     return points, int(np.argmax([est.mean for _, est in points]))
 
 
@@ -383,7 +498,7 @@ def _in_threads(tasks) -> None:
     def run(k):
         try:
             tasks[k]()
-        except Exception as exc:      # handed to the caller below
+        except BaseException as exc:      # handed to the caller below
             errors[k] = exc
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(tasks))]

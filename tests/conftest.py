@@ -1,11 +1,12 @@
 """Shared test settings: hypothesis runs a fixed set of examples, and no
-test may leave a child process or an open file descriptor behind.
+test may leave a child process, a thread or an open file descriptor behind.
 
 derandomize makes every run draw the same examples, so the suite is
 deterministic; deadline=None because some examples run a whole sweep.
 """
 
 import os
+import threading
 
 import pytest
 from hypothesis import settings
@@ -24,6 +25,18 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind (waitpid: {left})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread running: a Monte Carlo sweep's draws
+    and shares must be joined on every exit, and solve_system takes its
+    serial path while a second thread is alive."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"the test left threads running: {left}")
 
 
 def _open_fds():

@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -43,6 +46,14 @@ class TestConfigs:
         with pytest.raises(ValueError, match="n_paths must be an integer"):
             McConfig(n_paths=n_paths, seed=0)
         assert McConfig(n_paths=np.int64(10_000), seed=0).n_paths == 10_000
+
+    def test_a_numpy_integer_path_count_is_reported_as_an_int(self):
+        cfg = McConfig(n_paths=np.int64(100), seed=1)
+        assert type(cfg.n_paths) is int and cfg.n_paths == 100
+        est = estimate(ACCEPT, 0.5, EXP, cfg)
+        assert type(est.n_paths) is int
+        json.dumps(dataclasses.asdict(est))
+        assert est == estimate(ACCEPT, 0.5, EXP, McConfig(n_paths=100, seed=1))
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, "5", None])
     def test_mc_config_rejects_a_seed_that_is_not_an_integer(self, seed):
@@ -97,6 +108,11 @@ class TestSampleDefaultTime:
     def test_rejects_out_of_range_uniforms(self, u):
         with pytest.raises(ValueError):
             sample_default_time(0.5, u)
+
+    @pytest.mark.parametrize("u", [math.nan, np.array([0.5, math.nan])])
+    def test_rejects_nan_uniforms(self, u):
+        with pytest.raises(ValueError, match="strictly inside"):
+            sample_default_time(0.02, u)
 
     def test_rejects_negative_hazard(self):
         with pytest.raises(ValueError):
@@ -299,6 +315,7 @@ class _WorkerSpy:
     affinity, and records the threads that reduce policies."""
 
     def __init__(self, monkeypatch, max_workers, cpus):
+        self.monkeypatch = monkeypatch
         monkeypatch.setattr(montecarlo, "_MAX_WORKERS", max_workers)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
@@ -433,12 +450,15 @@ class TestLeafwiseReduction:
     @pytest.mark.parametrize("h", [0.02, 5.0], ids=["low-hazard", "high-hazard"])
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_peak_memory_is_the_normals_and_a_few_leaves(self, monkeypatch, max_workers,
-                                                         antithetic, h):
-        # the resident normals (8 bytes a path), the table of defaulted
-        # paths (16 bytes a defaulted path, twice that while the per-leaf
-        # pieces are joined), and per worker a few leaves; a whole-array
-        # temporary would add 8 bytes a path
+    def test_peak_memory_is_the_defaulted_table_and_a_few_leaves(self, monkeypatch,
+                                                                 max_workers, antithetic, h):
+        # the table of defaulted paths (16 bytes a defaulted path, twice that
+        # while the per-leaf pieces are joined) and a count of leaves that
+        # does not grow with the path count: _RING_LEAVES for the ring of
+        # normals, and 8 for the caller's uniforms of one leaf with their
+        # default times and temporaries and, per share, a leaf buffer and
+        # one leaf's defaulted paths (8.7 leaves measured in all, the ring's
+        # included); a whole-array normal draw would add 8 bytes a path
         _WorkerSpy(monkeypatch, max_workers, cpus=2)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         n_paths = 400_000
@@ -450,24 +470,29 @@ class TestLeafwiseReduction:
         finally:
             tracemalloc.stop()
         defaulted = -math.expm1(-h * params.horizon_T)
-        assert peak < (8 + 32 * defaulted) * n_paths * 1.25 + 4 * 2 ** 20
+        leaf = 8 * LEAF
+        assert peak < 32 * defaulted * n_paths * 1.25 + (montecarlo._RING_LEAVES + 8) * leaf
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("h", [0.02, 5.0])
     def test_each_pass_reads_each_leaf_once_per_share(self, monkeypatch, h, antithetic):
         # blocks of policies within a share would walk the leaves once per block
+        # and each leaf's normals are its paths' draws
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        n_paths = 3 * LEAF + 6
+        cfg = McConfig(n_paths=n_paths, seed=5, antithetic=antithetic)
+        z_ref = _reference_draws(cfg)[1]
         calls = {}
         read_leaf = montecarlo._Policies.leaf
 
-        def spy(law, lo, hi):
-            calls.setdefault(threading.current_thread(), []).append((lo, hi))
-            return read_leaf(law, lo, hi)
+        def spy(law, lo, z):
+            calls.setdefault(threading.current_thread(), []).append((lo, lo + z.size))
+            assert z.tobytes() == z_ref[lo:lo + z.size].tobytes()
+            return read_leaf(law, lo, z)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
-        n_paths = 3 * LEAF + 6
-        sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=5, antithetic=antithetic))
+        sweep(params, EXP, GRIDS[EXP], cfg)
 
         def leaves_of(n_units, width):
             leaves = []
@@ -486,6 +511,123 @@ class TestLeafwiseReduction:
         assert len(calls) == 2
         for got in calls.values():
             assert got == [leaf for walk in passes for leaf in walk]
+
+
+def _spy_normals(monkeypatch, before_draw):
+    """Route the module's generators through a wrapper that calls
+    before_draw(count) ahead of each normal draw of count numbers."""
+    generator = np.random.Generator
+
+    class Spy:
+        def __init__(self, bit_generator):
+            self.real = generator(bit_generator)
+
+        def random(self, *args, **kwargs):
+            return self.real.random(*args, **kwargs)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            before_draw(out.size)
+            return self.real.standard_normal(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(montecarlo.np.random, "Generator", Spy)
+
+
+def _fail_at_leaf(monkeypatch, failures):
+    """failures maps "caller" or "helper" to (k, exc): that share's k-th
+    leaf (counted from 1 over every pass) raises exc. Returns the leaves
+    each share has taken, a dict filled in as the sweep runs."""
+    caller, counts = threading.current_thread(), {}
+    read_leaf = montecarlo._Policies.leaf
+
+    def spy(law, lo, z):
+        who = "caller" if threading.current_thread() is caller else "helper"
+        counts[who] = counts.get(who, 0) + 1
+        if who in failures and counts[who] == failures[who][0]:
+            raise failures[who][1]
+        return read_leaf(law, lo, z)
+
+    monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
+    return counts
+
+
+class TestNormalStream:
+    # four leaves per pass of the n tree
+    N_PATHS = 3 * LEAF + 6
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    def test_normals_are_drawn_once_per_pass_at_any_worker_count(self, workers, antithetic):
+        drawn = []
+        _spy_normals(workers.monkeypatch, drawn.append)
+        cfg = McConfig(n_paths=self.N_PATHS, seed=6, antithetic=antithetic)
+        sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
+        # plain: the mean and the deviations; antithetic: the mean, the pair
+        # averages' mean and their deviations, from half as many normals
+        passes = 3 if antithetic else 2
+        assert sum(drawn) == passes * self.N_PATHS // (2 if antithetic else 1)
+        assert max(drawn) <= LEAF
+
+    def test_no_share_runs_more_than_the_ring_ahead_of_the_slowest(self, monkeypatch):
+        _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        caller, counts, leads = threading.current_thread(), {}, []
+        lock = threading.Lock()
+        read_leaf = montecarlo._Policies.leaf
+
+        def spy(law, lo, z):
+            me = threading.current_thread()
+            with lock:
+                counts[me] = counts.get(me, 0) + 1
+                leads.append(counts[me] - min([counts.get(caller, 0)]
+                                              + [c for t, c in counts.items() if t is not caller]))
+            if me is caller:
+                time.sleep(0.005)       # the caller's share is the slowest
+            return read_leaf(law, lo, z)
+
+        monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
+        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=8 * LEAF, seed=7))
+        # the lead counts a leaf the slowest share has taken but not yet read
+        assert montecarlo._RING_LEAVES - 1 <= max(leads) <= montecarlo._RING_LEAVES
+
+    @pytest.mark.parametrize("failures,expected", [
+        ({"helper": (5, KeyError("helper"))}, KeyError),
+        ({"caller": (6, ValueError("caller")), "helper": (2, KeyError("helper"))}, ValueError),
+        ({"caller": (2, KeyboardInterrupt())}, KeyboardInterrupt),
+        ({"helper": (3, KeyboardInterrupt()), "caller": (7, ValueError("caller"))},
+         KeyboardInterrupt),
+    ], ids=["helper-raises", "lowest-share-first", "interrupt-in-caller", "interrupt-in-helper"])
+    def test_a_failing_share_stops_the_sweep_and_leaves_no_thread(self, monkeypatch,
+                                                                 failures, expected):
+        # a share that raises lets the others finish, so the lowest failing
+        # share is reported, as a serial loop would; an interrupt stops every
+        # share within the ring's depth
+        _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        counts = _fail_at_leaf(monkeypatch, failures)
+        before = set(threading.enumerate())
+        with pytest.raises(expected):
+            sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=self.N_PATHS, seed=8))
+        assert set(threading.enumerate()) == before
+        interrupted = [k for k, exc in failures.values() if isinstance(exc, KeyboardInterrupt)]
+        if interrupted:
+            assert max(counts.values()) <= interrupted[0] + montecarlo._RING_LEAVES
+        elif len(failures) == 1:
+            assert counts["caller"] == 2 * 4      # two passes of four leaves
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("fail_at", [1, 3, 6])
+    def test_a_failing_draw_is_raised_and_leaves_no_thread(self, workers, antithetic, fail_at):
+        # a serial sweep raises a failing draw before any reduction
+        calls = []
+
+        def before_draw(count):
+            calls.append(count)
+            if len(calls) == fail_at:
+                raise MemoryError("draw")
+
+        _spy_normals(workers.monkeypatch, before_draw)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match="draw"):
+            sweep(ACCEPT, EXP, GRIDS[EXP],
+                  McConfig(n_paths=self.N_PATHS, seed=9, antithetic=antithetic))
+        assert set(threading.enumerate()) == before
 
 
 class TestNonFiniteEstimates:
