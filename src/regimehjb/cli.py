@@ -256,10 +256,10 @@ def build_variant(cfg: dict) -> FCoefficientVariant:
 
 
 def build_ode(cfg: dict) -> OdeConfig:
-    ode = _built("ode section", OdeConfig, **cfg["ode"])
-    horizon = cfg["market"]["horizon_T"]
-    _intervals(horizon, ode.step, f"ode.step = {ode.step!r} over horizon_T = {horizon!r}")
-    return ode
+    # the interval count first: a NaN step is reported naming ode.step
+    step, horizon = cfg["ode"]["step"], cfg["market"]["horizon_T"]
+    _intervals(horizon, step, f"ode.step = {step!r} over horizon_T = {horizon!r}")
+    return _built("ode section", OdeConfig, **cfg["ode"])
 
 
 def build_grid(cfg: dict) -> GridSpec:

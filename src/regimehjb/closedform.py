@@ -36,8 +36,20 @@ def optimal_weight(params: MarketParams) -> float:
     """Optimal constant stock weight (mu - r - h) / sigma^2.
 
     With h = 0 this reduces, bitwise, to the classical (mu - r) / sigma^2.
+    A weight that is not finite raises NumericalError.
     """
-    return (params.mu - params.r - params.h) / (params.sigma * params.sigma)
+    sig2 = params.sigma * params.sigma
+    return _finite_at_sigma(params, "the optimal weight",
+                            (params.mu - params.r - params.h) / sig2 if sig2 else math.inf)
+
+
+def _finite_at_sigma(params: MarketParams, what: str, value: float) -> float:
+    """value, or NumericalError naming sigma if it is not finite: sigma**2 is
+    0, or so small that dividing by it overflows, below sigma ~ 1e-155, and
+    inf above sigma ~ 1.3e154."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is not finite at sigma={params.sigma!r}")
+    return value
 
 
 def j_after(params: MarketParams, w: float, t: float) -> float:
@@ -47,8 +59,8 @@ def j_after(params: MarketParams, w: float, t: float) -> float:
     the numerical verification legs use the forward-growth convention
     r*(T - t) which differs by 2 r (T - t).
     """
-    if w <= 0.0:
-        raise ValueError("wealth must be positive")
+    if not 0.0 < w < math.inf:        # written so that NaN fails
+        raise ValueError("wealth must be positive and finite")
     if not 0.0 <= t <= params.horizon_T:
         raise ValueError("t must lie in [0, horizon_T]")
     return params.r * (t - params.horizon_T) + math.log(w)
@@ -59,14 +71,17 @@ def f_ode_coefficients(params: MarketParams,
                        ) -> float:
     """Constant K of the linear terminal-value equation for f(t):
     f'(t) - h f(t) = -K - r - h r (T - t)  with f(T) = 0.
+    A K that is not finite raises NumericalError.
     """
     m = params.mu - params.r - params.h
     sig2 = params.sigma * params.sigma
-    if variant is FCoefficientVariant.PAPER:
+    if not sig2:
+        k = math.inf
+    elif variant is FCoefficientVariant.PAPER:
         k = m * m * (2.0 - sig2) / (2.0 * sig2)
     else:
         k = m * m / (2.0 * sig2)
-    return k
+    return _finite_at_sigma(params, "K", k)
 
 
 def f_closed_form(params: MarketParams, t,

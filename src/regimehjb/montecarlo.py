@@ -27,21 +27,19 @@ is not finite raises NumericalError.
 
 The policy grid is cut into contiguous shares, one per thread, up to
 _MAX_WORKERS threads (fewer when the process may use fewer CPUs or the
-grid has fewer policies), the first for the caller's thread. The normals
-are streamed: each pass's normals are drawn once, leaf by leaf in tree
-order, into a ring of _RING_LEAVES leaf slots that every share reads, so
-no share runs more than the ring's depth ahead of the slowest (Philox
-draws made in consecutive pieces equal one large draw; Salmon et al.,
-SC'11). A helper thread draws the first leaves while the caller draws the
-uniforms one leaf at a time, turns them into default times and keeps the
-paths that default; after that, the first share to need a leaf draws it.
-numpy releases the GIL in the draws and the array passes. Every policy is
-still reduced whole by one thread, so results are bitwise independent of
-the worker count, and a failing sweep raises the error of its lowest
-failing policy, as a serial loop would; a failing draw or a
-KeyboardInterrupt stops every thread and is raised instead.
-Every thread is joined before the sweep returns or raises. Memory is the
-table of defaulted paths and the ring, plus per share a leaf buffer, the
+grid has fewer policies), the first for the caller's thread. Before the
+shares start, the caller draws the uniforms one leaf at a time, turns them
+into default times and keeps the paths that default. The normals are not
+kept: each share draws its own, leaf by leaf in tree order, from a fresh
+generator at the start of each pass (Philox draws made in consecutive
+pieces equal one large draw; Salmon et al., SC'11), so no share waits on
+another. numpy releases the GIL in the draws and the array passes. Every
+policy is still reduced whole by one thread, so results are bitwise
+independent of the worker count, and a failing sweep raises the error of
+its lowest failing policy, as a serial loop would; a KeyboardInterrupt
+stops every other share at its next leaf and is raised instead. Every
+thread is joined before the sweep returns or raises. Memory is the table
+of defaulted paths plus, per share, a leaf of normals, a leaf buffer, the
 policy-free parts of one leaf's defaulted paths and their values under a
 run of policies, a few leaves' worth in all: at low hazard it does not
 grow with the path count.
@@ -50,7 +48,6 @@ grow with the path count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import os
@@ -78,10 +75,6 @@ _MAX_WORKERS = 2
 # leaves of at most this many paths and adds the leaf sums in tree order
 # (tests/test_montecarlo.py pins this on the installed numpy)
 _LEAF_PATHS = 65536
-
-# the normals of a sweep are drawn into a ring of this many leaf slots, so
-# no share runs more than this many leaves ahead of the slowest one
-_RING_LEAVES = 4
 
 
 @dataclass(frozen=True)
@@ -262,109 +255,6 @@ def _draw_table(params: MarketParams, cfg: McConfig):
     return np.concatenate(hits), np.concatenate(taus)
 
 
-class _StreamEnded(Exception):
-    """Raised where normals are drawn or read after their stream ended."""
-
-
-class _Normals:
-    """A sweep's normals, streamed into a ring of _RING_LEAVES leaf slots
-    that every share reads. Each pass of _reduce_policies draws them once,
-    leaf by leaf in tree order, from a fresh generator of the normal
-    stream; antithetic mode fills pairs (z, -z) from half as many normals.
-
-    A helper thread draws the first leaves while the caller draws the
-    uniforms. After that, the first share to need a leaf that is not drawn
-    yet draws it, one draw at a time, so no share waits on a thread that
-    has no work of its own. reader(k) is share k's reader: each call
-    returns the normals of the share's next leaf. A slot is drawn again
-    only once every share that has not left has moved past it. end stops
-    the draws and every reader, which then raise _StreamEnded; failure is
-    the exception that ended the stream, if any.
-    """
-
-    def __init__(self, cfg: McConfig, n_readers: int):
-        self.antithetic, self.key = cfg.antithetic, (_Z_STREAM << 64) | cfg.seed
-        self.slots = np.empty((_RING_LEAVES, min(cfg.n_paths, _LEAF_PATHS)))
-        self.half = np.empty(self.slots.shape[1] // 2 if cfg.antithetic else 0)
-        # the paths of each leaf and the first leaf of each pass: the mean
-        # over the n tree, in antithetic mode the pair averages' mean, and
-        # the deviations of the units (paths or pair averages)
-        width, self.leaves, self.starts = (2 if cfg.antithetic else 1), [], set()
-        for units, per in [(cfg.n_paths, 1)] + [(cfg.n_paths // width, width)] * width:
-            self.starts.add(len(self.leaves))
-            _tree_sum(units, _LEAF_PATHS // per,
-                      lambda lo, hi: self.leaves.append(per * (hi - lo)) or 0.0)
-        self.released = [0] * n_readers      # per reader, the leaves it is done with
-        self.drawn, self.drawing, self.ended, self.failure = 0, False, False, None
-        self.cond = threading.Condition()
-        self.thread = threading.Thread(target=self._draw_first)
-        self.thread.start()
-
-    def _draw_first(self) -> None:
-        with self.cond:
-            try:
-                while self._draw_next():
-                    pass
-            except _StreamEnded:
-                pass
-
-    def _draw_next(self) -> bool:
-        """With cond held, draw the next leaf, unless another thread draws,
-        the ring is full or every leaf is drawn; True if it drew one."""
-        if (self.drawing or self.ended or self.drawn == len(self.leaves)
-                or self.drawn >= min(self.released) + _RING_LEAVES):
-            return False
-        self.drawing, n_paths = True, self.leaves[self.drawn]
-        self.cond.release()
-        try:
-            if self.drawn in self.starts:
-                self.g_z = np.random.Generator(np.random.Philox(key=self.key))
-            z = self.slots[self.drawn % _RING_LEAVES, :n_paths]
-            if self.antithetic:
-                z[0::2] = self.g_z.standard_normal(out=self.half[:n_paths // 2])
-                np.negative(z[0::2], out=z[1::2])
-            else:
-                self.g_z.standard_normal(out=z)
-        except BaseException as exc:       # a failing draw stops every reader
-            self.end(exc)
-            raise _StreamEnded
-        finally:
-            self.cond.acquire()
-            self.drawing = False
-        self.drawn += 1
-        self.cond.notify_all()
-        return True
-
-    def reader(self, k: int):
-        items = itertools.count()
-
-        def next_leaf(n_paths: int) -> np.ndarray:
-            item = next(items)
-            with self.cond:
-                self.released[k] = item
-                self.cond.notify_all()
-                while self.drawn <= item and not self.ended:
-                    if not self._draw_next():
-                        self.cond.wait()
-                if self.ended:
-                    raise _StreamEnded
-            return self.slots[item % _RING_LEAVES, :n_paths]
-
-        return next_leaf
-
-    def leave(self, k: int) -> None:
-        with self.cond:
-            self.released[k] = math.inf
-            self.cond.notify_all()
-
-    def end(self, failure: BaseException = None) -> None:
-        with self.cond:
-            if self.failure is None:
-                self.failure = failure
-            self.ended = True
-            self.cond.notify_all()
-
-
 def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
     """np.add.reduce over elements lo..lo+n-1, bit for bit, from
     leaf_sum(a, b), np.add.reduce of elements a..b-1 for each subtree of at
@@ -376,28 +266,42 @@ def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
     return _tree_sum(half, cap, leaf_sum, lo) + _tree_sum(n - half, cap, leaf_sum, lo + half)
 
 
-def _reduce_policies(law: _Policies, cfg: McConfig, buf: np.ndarray,
-                     next_normals) -> List[McEstimate]:
+def _reduce_policies(law: _Policies, cfg: McConfig,
+                     stop: threading.Event) -> List[McEstimate]:
     """For each of law's policies: np.mean of every path's terminal log wealth
     and np.std(units, ddof=1) / sqrt(units.size), bit for bit.
 
-    Each pass walks the leaves of numpy's tree once for all the policies,
-    taking each leaf's normals from next_normals(paths) and mapping one
-    policy's leaf of at most _LEAF_PATHS paths at a time into buf: a leaf
-    of normals stays in cache for the other policies, and its defaulted
-    paths are gathered once per pass.
+    Each pass walks the leaves of numpy's tree once for all the policies.
+    It draws each leaf's normals into z from a fresh generator of the
+    normal stream, started at the pass's first leaf (antithetic mode fills
+    pairs (z, -z) from half as many normals), and maps one policy's leaf of
+    at most _LEAF_PATHS paths at a time into buf: a leaf of normals stays
+    in cache for the other policies, and its defaulted paths are gathered
+    once per pass. A leaf taken once stop is set raises InterruptedError.
     """
     n = cfg.n_paths
     # antithetic pairs are correlated by construction; the independent
     # statistical unit is the pair average, reduced over the tree of n/2
     width = 2 if cfg.antithetic else 1          # paths per unit
     n_units = n // width
+    z, buf = np.empty((2, min(n, _LEAF_PATHS)))
+    half = np.empty(z.size // 2 if cfg.antithetic else 0)
 
     def tree_sums(n_elems, paths_per, finish=None):
         """Per policy, np.add.reduce over n_elems elements, each the average
         of paths_per consecutive paths, passed through finish(j, leaf)."""
+        g_z = np.random.Generator(np.random.Philox(key=(_Z_STREAM << 64) | cfg.seed))
+
         def leaf_sums(lo, hi):
-            law.leaf(paths_per * lo, next_normals(paths_per * (hi - lo)))
+            if stop.is_set():
+                raise InterruptedError("another share of the sweep was interrupted")
+            leaf = z[:paths_per * (hi - lo)]
+            if cfg.antithetic:
+                leaf[0::2] = g_z.standard_normal(out=half[:leaf.size // 2])
+                np.negative(leaf[0::2], out=leaf[1::2])
+            else:
+                g_z.standard_normal(out=leaf)
+            law.leaf(paths_per * lo, leaf)
             sums = np.empty(len(law.pis))
             for j in range(sums.size):
                 vals = law.fill(j, buf)
@@ -435,33 +339,27 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
 
     The same (tau, z) draws are reused for every grid point, so the
     empirical argmax is a low-variance comparison. Each thread's share of
-    the grid is one _Policies, reduced in one walk of the leaves per pass;
-    every share reads its normals from one _Normals stream, which starts
-    drawing before the caller draws the uniforms. Returns the per-point
+    the grid is one _Policies, reduced in one walk of the leaves per pass
+    over normals that the share draws itself. Returns the per-point
     estimates and the maximizing index (ties resolve to the smallest pi).
     """
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
         raise ValueError("pi_grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(pi_arr)):
+        raise ValueError("pi_grid must be finite")
     if pi_arr.size > 1 and not np.all(np.diff(pi_arr) > 0.0):
         raise ValueError("pi_grid must be strictly ascending")
 
     points: List[Tuple[float, McEstimate]] = [None] * pi_arr.size
+    stop = threading.Event()      # set by a KeyboardInterrupt
 
-    def estimate_range(k: int, lo: int, hi: int) -> None:
-        try:
-            # numpy's error state is per thread; a non-finite intermediate
-            # leaves a non-finite mean or std, which raises
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                law = _Policies(defaults, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
-                ests = _reduce_policies(law, cfg, np.empty(min(cfg.n_paths, _LEAF_PATHS)),
-                                        normals.reader(k))
-        except BaseException as exc:
-            if not isinstance(exc, Exception):   # a KeyboardInterrupt stops every share
-                normals.end(exc)
-            raise
-        finally:
-            normals.leave(k)
+    def estimate_range(lo: int, hi: int) -> None:
+        # numpy's error state is per thread; a non-finite intermediate
+        # leaves a non-finite mean or std, which raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            law = _Policies(defaults, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
+            ests = _reduce_policies(law, cfg, stop)
         for idx, (pi, est) in enumerate(zip(law.pis, ests), lo):
             if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
                 raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
@@ -475,31 +373,33 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
             else os.cpu_count() or 1)      # not every platform has an affinity
     n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
     edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
-    normals = _Normals(cfg, n_workers)
-    try:
-        defaults = _draw_table(params, cfg)
-        _in_threads([functools.partial(estimate_range, k, lo, hi)
-                     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
-    finally:
-        normals.end()
-        normals.thread.join()
-        # a failing draw or a KeyboardInterrupt comes before any share's error
-        if normals.failure is not None:
-            raise normals.failure
+    defaults = _draw_table(params, cfg)
+    _in_threads([functools.partial(estimate_range, lo, hi)
+                 for lo, hi in zip(edges[:-1], edges[1:])], stop)
     return points, int(np.argmax([est.mean for _, est in points]))
 
 
-def _in_threads(tasks) -> None:
+def _in_threads(tasks, stop: threading.Event) -> None:
     """Call every task, the first in the caller thread and each other one on
     a thread of its own, and return when all have finished. If any raised,
-    re-raise the exception of the first such task in list order."""
-    errors = [None] * len(tasks)
+    re-raise the exception of the first such task in list order. A
+    KeyboardInterrupt, in a task or while the caller waits for the others,
+    sets stop for the tasks to end early and is raised before any error."""
+    errors, interrupts, done = [None] * len(tasks), [], [threading.Event() for _ in tasks]
+
+    def interrupted(exc):
+        if not isinstance(exc, Exception):
+            interrupts.append(exc)
+            stop.set()
+        return exc
 
     def run(k):
         try:
             tasks[k]()
         except BaseException as exc:      # handed to the caller below
-            errors[k] = exc
+            errors[k] = interrupted(exc)
+        finally:
+            done[k].set()
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(tasks))]
     try:
@@ -507,9 +407,17 @@ def _in_threads(tasks) -> None:
             thread.start()
         run(0)
     finally:
-        for thread in threads:
-            if thread.ident is not None:     # started
-                thread.join()
-    for exc in errors:
+        # join a thread only once its task is done: CPython 3.11 marks a
+        # thread whose join is interrupted as stopped while it still runs
+        for k, thread in enumerate(threads, 1):
+            if thread.ident is None:         # not started
+                continue
+            while not done[k].is_set():
+                try:
+                    done[k].wait()
+                except BaseException as exc:     # the caller's wait is interrupted
+                    interrupted(exc)
+            thread.join()
+    for exc in interrupts[:1] + errors:
         if exc is not None:
             raise exc

@@ -28,7 +28,7 @@ class OdeConfig:
     method: str = "rk4"
 
     def __post_init__(self):
-        if self.step <= 0.0:
+        if not self.step > 0.0:        # written so that NaN fails
             raise ValueError("step must be positive")
         if self.method.lower() != "rk4":
             raise ValueError("only the rk4 method is available")

@@ -29,8 +29,8 @@ def no_child_process_left():
 
 @pytest.fixture(autouse=True)
 def no_thread_left():
-    """Fail a test that leaves a thread running: a Monte Carlo sweep's draws
-    and shares must be joined on every exit, and solve_system takes its
+    """Fail a test that leaves a thread running: a Monte Carlo sweep's shares
+    must be joined on every exit, and solve_system takes its
     serial path while a second thread is alive."""
     before = set(threading.enumerate())
     yield

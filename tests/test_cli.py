@@ -261,6 +261,19 @@ class TestCommandLine:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("numerical error: ") and "sigma" in captured.err
 
+    @pytest.mark.parametrize("command", ["closed-form", "ode-check", "mc-estimate", "verify"])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_tiny_sigma_is_a_numerical_error_without_warnings(self, tmp_path, command,
+                                                             sigma):
+        # sigma**2 is 0 or a subnormal: the optimal weight and K are not finite
+        cfg = base_config()
+        cfg["market"]["sigma"] = sigma
+        path = write_config(tmp_path, cfg)
+        run = run_cli_warnings_as_errors(command, "--config", path)
+        assert (run.returncode, run.stdout) == (3, "")
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("numerical error: ") and f"sigma={sigma!r}" in run.stderr
+
     @pytest.mark.parametrize("command", ["mc-estimate", "sweep"])
     def test_subnormal_hazard_runs_without_warnings(self, tmp_path, command):
         cfg = base_config()

@@ -10,7 +10,7 @@ from strategies import losses, markets, policy
 from regimehjb.closedform import (FCoefficientVariant, expected_log_utility_exact,
                                   f_closed_form, f_ode_coefficients, j_after,
                                   optimal_weight, policy_log_drift)
-from regimehjb.model import DefaultLossModel, MarketParams
+from regimehjb.model import DefaultLossModel, MarketParams, NumericalError
 
 DERIVED = FCoefficientVariant.DERIVED
 PAPER = FCoefficientVariant.PAPER
@@ -90,6 +90,11 @@ class TestJAfter:
         with pytest.raises(ValueError):
             j_after(ACCEPT, 1.0, 1.5)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_rejects_wealth_that_is_not_finite(self, w):
+        with pytest.raises(ValueError, match="wealth"):
+            j_after(ACCEPT, w, 0.5)
+
 
 class TestFOdeCoefficients:
     def test_variants_coincide_at_unit_sigma(self):
@@ -104,6 +109,25 @@ class TestFOdeCoefficients:
         k_p = f_ode_coefficients(ACCEPT, PAPER)
         assert k_d == pytest.approx(0.02, abs=1e-15)       # 0.04^2 / (2*0.04)
         assert k_p == pytest.approx(0.0392, abs=1e-15)     # 0.04^2 * 1.96 / 0.08
+
+
+class TestExtremeSigma:
+    # sigma**2 is 0 at 1e-200 and a subnormal at 1e-160, where the weight
+    # and K overflow; at 1e200 it is inf, and the paper K is inf / inf
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_tiny_sigma_is_a_numerical_error_naming_sigma(self, sigma):
+        p = dataclasses.replace(ACCEPT, sigma=sigma)
+        with pytest.raises(NumericalError, match=f"optimal weight .* sigma={sigma!r}"):
+            optimal_weight(p)
+        for variant in FCoefficientVariant:
+            with pytest.raises(NumericalError, match=f"K .* sigma={sigma!r}"):
+                f_ode_coefficients(p, variant)
+
+    def test_huge_sigma_has_a_zero_weight_and_no_paper_k(self):
+        p = dataclasses.replace(ACCEPT, sigma=1e200)
+        assert optimal_weight(p) == 0.0 and f_ode_coefficients(p, DERIVED) == 0.0
+        with pytest.raises(NumericalError, match="sigma=1e[+]200"):
+            f_ode_coefficients(p, PAPER)
 
 
 class TestFClosedForm:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import signal
 import sys
 import threading
 import time
@@ -207,6 +208,15 @@ class TestSweep:
             sweep(ACCEPT, EXP, [1.0, 0.5], McConfig(n_paths=1000, seed=0))
         with pytest.raises(ValueError):
             sweep(ACCEPT, EXP, [], McConfig(n_paths=1000, seed=0))
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [0.0, math.nan],
+                                      [-math.inf, 0.0]])
+    def test_rejects_a_grid_that_is_not_finite(self, grid):
+        with pytest.raises(ValueError, match="pi_grid must be finite"):
+            sweep(ACCEPT, EXP, grid, McConfig(n_paths=1000, seed=0))
+        if len(grid) == 1:
+            with pytest.raises(ValueError, match="pi_grid must be finite"):
+                estimate(ACCEPT, grid[0], EXP, McConfig(n_paths=1000, seed=0))
 
     def test_no_hazard_argmax_near_classic_weight(self):
         grid = np.round(np.arange(0.0, 3.0001, 0.05), 10)
@@ -454,11 +464,11 @@ class TestLeafwiseReduction:
                                                                  max_workers, antithetic, h):
         # the table of defaulted paths (16 bytes a defaulted path, twice that
         # while the per-leaf pieces are joined) and a count of leaves that
-        # does not grow with the path count: _RING_LEAVES for the ring of
-        # normals, and 8 for the caller's uniforms of one leaf with their
-        # default times and temporaries and, per share, a leaf buffer and
-        # one leaf's defaulted paths (8.7 leaves measured in all, the ring's
-        # included); a whole-array normal draw would add 8 bytes a path
+        # does not grow with the path count: the caller's uniforms of one
+        # leaf with their default times and temporaries and, per share, a
+        # leaf of normals (and half a leaf in antithetic mode), a leaf
+        # buffer and one leaf's defaulted paths (5.3 leaves measured); a
+        # whole-array normal draw would add 8 bytes a path
         _WorkerSpy(monkeypatch, max_workers, cpus=2)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         n_paths = 400_000
@@ -471,7 +481,7 @@ class TestLeafwiseReduction:
             tracemalloc.stop()
         defaulted = -math.expm1(-h * params.horizon_T)
         leaf = 8 * LEAF
-        assert peak < 32 * defaulted * n_paths * 1.25 + (montecarlo._RING_LEAVES + 8) * leaf
+        assert peak < 32 * defaulted * n_paths * 1.25 + 8 * leaf
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("h", [0.02, 5.0])
@@ -515,7 +525,7 @@ class TestLeafwiseReduction:
 
 def _spy_normals(monkeypatch, before_draw):
     """Route the module's generators through a wrapper that calls
-    before_draw(count) ahead of each normal draw of count numbers."""
+    before_draw(generator, count) ahead of each normal draw of count numbers."""
     generator = np.random.Generator
 
     class Spy:
@@ -526,7 +536,7 @@ def _spy_normals(monkeypatch, before_draw):
             return self.real.random(*args, **kwargs)
 
         def standard_normal(self, *args, out=None, **kwargs):
-            before_draw(out.size)
+            before_draw(self, out.size)
             return self.real.standard_normal(*args, out=out, **kwargs)
 
     monkeypatch.setattr(montecarlo.np.random, "Generator", Spy)
@@ -535,19 +545,21 @@ def _spy_normals(monkeypatch, before_draw):
 def _fail_at_leaf(monkeypatch, failures):
     """failures maps "caller" or "helper" to (k, exc): that share's k-th
     leaf (counted from 1 over every pass) raises exc. Returns the leaves
-    each share has taken, a dict filled in as the sweep runs."""
-    caller, counts = threading.current_thread(), {}
+    each share has taken, a dict filled in as the sweep runs, and per
+    share that raised, a copy of that dict taken as it raised."""
+    caller, counts, at_raise = threading.current_thread(), {}, {}
     read_leaf = montecarlo._Policies.leaf
 
     def spy(law, lo, z):
         who = "caller" if threading.current_thread() is caller else "helper"
         counts[who] = counts.get(who, 0) + 1
         if who in failures and counts[who] == failures[who][0]:
+            at_raise[who] = dict(counts)
             raise failures[who][1]
         return read_leaf(law, lo, z)
 
     monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
-    return counts
+    return counts, at_raise
 
 
 class TestNormalStream:
@@ -556,36 +568,47 @@ class TestNormalStream:
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     def test_normals_are_drawn_once_per_pass_at_any_worker_count(self, workers, antithetic):
-        drawn = []
-        _spy_normals(workers.monkeypatch, drawn.append)
+        drawn, lock = {}, threading.Lock()    # per share, the normals of each generator
+
+        def record(generator, count):
+            with lock:
+                per_generator = drawn.setdefault(threading.current_thread(), {})
+                per_generator.setdefault(generator, []).append(count)
+
+        _spy_normals(workers.monkeypatch, record)
         cfg = McConfig(n_paths=self.N_PATHS, seed=6, antithetic=antithetic)
         sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
         # plain: the mean and the deviations; antithetic: the mean, the pair
-        # averages' mean and their deviations, from half as many normals
+        # averages' mean and their deviations, from half as many normals;
+        # each pass from a generator of its own, at most a leaf at a time
         passes = 3 if antithetic else 2
-        assert sum(drawn) == passes * self.N_PATHS // (2 if antithetic else 1)
-        assert max(drawn) <= LEAF
+        assert len(drawn) == min(workers.cap, len(GRIDS[EXP]))
+        for per_generator in drawn.values():
+            assert ([sum(counts) for counts in per_generator.values()]
+                    == [self.N_PATHS // (2 if antithetic else 1)] * passes)
+            assert max(max(counts) for counts in per_generator.values()) <= LEAF
 
-    def test_no_share_runs_more_than_the_ring_ahead_of_the_slowest(self, monkeypatch):
+    def test_a_slow_share_does_not_hold_the_others_back(self, monkeypatch):
+        # while the caller's share sleeps 5 ms per leaf, the helper's takes
+        # all of its leaves: it draws its own normals and waits on no share
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
-        caller, counts, leads = threading.current_thread(), {}, []
-        lock = threading.Lock()
+        caller, by_caller = threading.current_thread(), []
         read_leaf = montecarlo._Policies.leaf
 
         def spy(law, lo, z):
-            me = threading.current_thread()
-            with lock:
-                counts[me] = counts.get(me, 0) + 1
-                leads.append(counts[me] - min([counts.get(caller, 0)]
-                                              + [c for t, c in counts.items() if t is not caller]))
-            if me is caller:
-                time.sleep(0.005)       # the caller's share is the slowest
+            by_caller.append(threading.current_thread() is caller)
+            if by_caller[-1]:
+                time.sleep(0.005)
             return read_leaf(law, lo, z)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
-        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=8 * LEAF, seed=7))
-        # the lead counts a leaf the slowest share has taken but not yet read
-        assert montecarlo._RING_LEAVES - 1 <= max(leads) <= montecarlo._RING_LEAVES
+        sweep(ACCEPT, EXP, [0.5, 1.0], McConfig(n_paths=8 * LEAF, seed=7))
+        # two passes of eight leaves a share; the helper takes its last leaf
+        # while the caller is still in its first pass (a ring of four leaves
+        # would hold the helper to four leaves ahead of the caller)
+        last = len(by_caller) - by_caller[::-1].index(False)
+        assert by_caller.count(False) == by_caller.count(True) == 16
+        assert by_caller[:last].count(True) <= 8
 
     @pytest.mark.parametrize("failures,expected", [
         ({"helper": (5, KeyError("helper"))}, KeyError),
@@ -598,28 +621,32 @@ class TestNormalStream:
                                                                  failures, expected):
         # a share that raises lets the others finish, so the lowest failing
         # share is reported, as a serial loop would; an interrupt stops every
-        # share within the ring's depth
+        # other share within one leaf
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
-        counts = _fail_at_leaf(monkeypatch, failures)
+        counts, at_raise = _fail_at_leaf(monkeypatch, failures)
         before = set(threading.enumerate())
         with pytest.raises(expected):
             sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=self.N_PATHS, seed=8))
         assert set(threading.enumerate()) == before
-        interrupted = [k for k, exc in failures.values() if isinstance(exc, KeyboardInterrupt)]
-        if interrupted:
-            assert max(counts.values()) <= interrupted[0] + montecarlo._RING_LEAVES
-        elif len(failures) == 1:
+        interrupted = [who for who, (_, exc) in failures.items()
+                       if isinstance(exc, KeyboardInterrupt)]
+        for who in interrupted:
+            assert all(count <= at_raise[who].get(other, 0) + 1
+                       for other, count in counts.items() if other != who)
+        if not interrupted and len(failures) == 1:
             assert counts["caller"] == 2 * 4      # two passes of four leaves
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("fail_at", [1, 3, 6])
     def test_a_failing_draw_is_raised_and_leaves_no_thread(self, workers, antithetic, fail_at):
-        # a serial sweep raises a failing draw before any reduction
-        calls = []
+        # a draw that fails fails its share, like any error of the share
+        calls, lock = [], threading.Lock()
 
-        def before_draw(count):
-            calls.append(count)
-            if len(calls) == fail_at:
+        def before_draw(generator, count):
+            with lock:
+                calls.append(count)
+                fail = len(calls) == fail_at
+            if fail:
                 raise MemoryError("draw")
 
         _spy_normals(workers.monkeypatch, before_draw)
@@ -701,7 +728,7 @@ class TestInThreads:
 
         before = set(threading.enumerate())
         with pytest.raises(ValueError, match="first"):
-            _in_threads([first, second, third])
+            _in_threads([first, second, third], threading.Event())
         assert len(finished) == 1 and finished[0] is not threading.current_thread()
         assert set(threading.enumerate()) == before
 
@@ -710,7 +737,26 @@ class TestInThreads:
             raise KeyError("helper")
 
         with pytest.raises(KeyError, match="helper"):
-            _in_threads([lambda: None, fail])
+            _in_threads([lambda: None, fail], threading.Event())
+
+    def test_an_interrupted_wait_stops_and_joins_every_task(self):
+        # Ctrl-C while the caller waits for a helper's task: the helper is
+        # told to stop and is joined before the interrupt is raised
+        stop, main = threading.Event(), threading.main_thread().ident
+
+        def helper():
+            time.sleep(0.2)              # the caller waits by now
+            signal.pthread_kill(main, signal.SIGINT)
+            assert stop.wait(10)
+
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            before = set(threading.enumerate())
+            with pytest.raises(KeyboardInterrupt):
+                _in_threads([lambda: None, helper], stop)
+            assert stop.is_set() and set(threading.enumerate()) == before
+        finally:
+            signal.signal(signal.SIGINT, handler)
 
 
 # --------------------------------------------------------------------------

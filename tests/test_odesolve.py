@@ -29,6 +29,10 @@ class TestOdeConfig:
         with pytest.raises(ValueError):
             OdeConfig(step=-1e-3)
 
+    def test_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="step"):
+            OdeConfig(step=float("nan"))
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             OdeConfig(step=1e-3, method="euler")
