@@ -5,12 +5,14 @@ ODE, finite-difference and Monte Carlo engines, and writes machine-readable
 reports: JSON for summaries, CSV for tables. Every report embeds the fully
 resolved configuration so a run can be reproduced bit-for-bit from its own
 output. verify calls the same per-route helpers as the single-route
-commands. Exit codes: 0 all gates pass, 1 gate failure, 2 configuration
-error (wherever it is found: the schema, an integer too large for a float,
-a non-finite pi, state grid or control node, a CFL violation, control nodes
-outside the bounds, a linear-loss weight pi >= 1, a step size that gives no
-usable node count, a state grid with no interior window, an array too large
-to allocate, an output path that cannot be written), 3 numerical error
+commands, and every command judges the whole config, including the keys
+only another command reads. Exit codes: 0 all gates pass, 1 gate failure,
+2 configuration error (wherever it is found: the schema, an integer too
+large for a float, a non-finite number, state grid or control node, a CFL
+violation, control nodes outside the bounds, a linear-loss weight pi >= 1,
+a step size that gives no usable node count, a state grid with no interior
+window, an array too large to allocate, an output path that cannot be
+written), 3 numerical error
 (a non-finite quantity met during a solve), 4 internal error (a traceback,
 to be reported as a bug).
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .closedform import (FCoefficientVariant, expected_log_utility_exact,
                          f_closed_form, j_after, optimal_weight)
-from .hjb import GridSpec, solve_system
+from .hjb import GridSpec, solve_system, validate_grid_for
 from .model import (DEFAULT_CONTROL_BOUNDS, ConfigError, DefaultLossModel,
                     MarketParams, NumericalError, merton_as_generic)
 from .montecarlo import McConfig, estimate, sweep
@@ -138,6 +140,9 @@ def _walk(raw: dict, cfg: dict):
                              else float(value) if _is_number(value) else value)
                 except OverflowError:
                     raise ConfigError(f"{name} has an integer too large for a float") from None
+            if kind in ("number", "number or null") and not (value is None
+                                                              or math.isfinite(value)):
+                raise ConfigError(f"{name} must be {what.replace('a ', 'a finite ', 1)}")
             out[key] = value
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' in {section}" if section in raw
@@ -155,7 +160,8 @@ def resolve_config(raw: dict, seed_override: int | None = None,
 
     The result is itself a valid input config; reports embed it so any run
     can be reproduced from its own output. The rules that tie keys together
-    run as soon as the walk has resolved the keys they read.
+    run as soon as the walk has resolved the keys they read, and every rule
+    runs for every command, whichever command reads the key.
     """
     _check_object(raw, "config", {row[0] or row[1] for row in _SCHEMA})
     cfg = {}
@@ -180,16 +186,24 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             raise ConfigError("grid.control_step must be positive")
         elif key == "antithetic" and seed_override is not None:
             cfg["mc"]["seed"] = seed_override
-        elif key == "pi" and cfg["pi"] is not None and not math.isfinite(cfg["pi"]):
-            raise ConfigError("pi must be a finite number or null")
+        elif key == "pi" and cfg["pi"] is not None:
+            DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(cfg["pi"])   # linear: pi < 1
         elif key == "report_times" and not all(
                 0.0 <= t <= cfg["market"]["horizon_T"] for t in cfg["report_times"]):
             raise ConfigError("report_times must lie inside [0, horizon_T]")
-        elif key == "pi_step" and (cfg["sweep"]["pi_step"] <= 0.0
-                                   or cfg["sweep"]["pi_lo"] >= cfg["sweep"]["pi_hi"]):
-            raise ConfigError("sweep needs pi_lo < pi_hi and a positive pi_step")
+        elif key == "pi_step":
+            s = cfg["sweep"]
+            if s["pi_step"] <= 0.0 or s["pi_lo"] >= s["pi_hi"]:
+                raise ConfigError("sweep needs pi_lo < pi_hi and a positive pi_step")
+            # pi_lo and pi_hi are finite unless they default to an infinite control
+            # bound, which the other commands accept with explicit control nodes
+            if math.isfinite(s["pi_lo"]) and math.isfinite(s["pi_hi"]):
+                _intervals(s["pi_hi"] - s["pi_lo"], s["pi_step"], _sweep_where(s))
+            DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(s["pi_hi"])  # linear: pi < 1
     # the dataclasses and the node counts check the rest, so every command fails fast
     grid, _, mc = build_grid(cfg), build_ode(cfg), build_mc(cfg)
+    validate_grid_for(merton_as_generic(build_market(cfg), build_loss(cfg),
+                                        tuple(cfg["control_bounds"])), grid)
     for where, count in (("grid.n_x * (grid.n_t + 1)", grid.n_x * (grid.n_t + 1)),
                          ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size),
                          ("mc.n_paths", mc.n_paths)):
@@ -233,6 +247,12 @@ def _intervals(width: float, step: float, where: str) -> float:
     if not (math.isfinite(intervals) and intervals + 1 <= _MAX_VALUES):
         raise ConfigError(f"{where} gives {intervals!r} intervals")
     return intervals
+
+
+def _sweep_where(s: dict) -> str:
+    """How a fault of the sweep section's node count names its keys."""
+    return (f"sweep.pi_step = {s['pi_step']!r} "
+            f"over [pi_lo, pi_hi] = [{s['pi_lo']!r}, {s['pi_hi']!r}]")
 
 
 def _nodes(lo: float, hi: float, step: float, where: str) -> np.ndarray:
@@ -337,12 +357,12 @@ def _hjb_route(cfg: dict, params: MarketParams, loss: DefaultLossModel):
     offsets -v_pre - x (each node's estimate of f(0)) on the interior window."""
     problem = merton_as_generic(params, loss, tuple(cfg["control_bounds"]))
     grid = build_grid(cfg)
+    mask = interior_nodes_mask(grid, loss, grid.control_nodes)   # before the solve
     surface = solve_system(problem, grid)
     x = grid.x_nodes
     j0 = int(np.argmin(np.abs(x - math.log(params.w0))))
     summary = {"f0_hjb": float(-surface.v_pre[0, j0] - x[j0]), "x0": float(x[j0]),
                "policy_at_x0": float(surface.policy[0, j0])}
-    mask = interior_nodes_mask(grid, loss, grid.control_nodes)
     return summary, -surface.v_pre[0, mask] - x[mask]
 
 
@@ -355,11 +375,19 @@ def cmd_hjb_solve(cfg: dict) -> dict:
     }
 
 
+def _mc_route(cfg: dict, params: MarketParams, loss: DefaultLossModel, pi: float):
+    """Monte Carlo estimate at pi, the exact expected log wealth, and their
+    agreement gate (three standard errors)."""
+    est = estimate(params, pi, loss, build_mc(cfg))
+    exact = expected_log_utility_exact(params, pi, loss)
+    return est, exact, _gate("mc_vs_exact", abs(est.mean - exact), 3.0 * est.std_error)
+
+
 def cmd_mc_estimate(cfg: dict) -> dict:
     params = build_market(cfg)
     loss = build_loss(cfg)
     pi = cfg["pi"] if cfg["pi"] is not None else optimal_weight(params)
-    est = estimate(params, pi, loss, build_mc(cfg))
+    est, exact, _ = _mc_route(cfg, params, loss, pi)
     return {
         "config": cfg,
         "pi": pi,
@@ -367,7 +395,7 @@ def cmd_mc_estimate(cfg: dict) -> dict:
         "mc_stderr": est.std_error,
         "n_paths": est.n_paths,
         "seed": est.seed,
-        "exact_value": expected_log_utility_exact(params, pi, loss),
+        "exact_value": exact,
     }
 
 
@@ -375,8 +403,7 @@ def cmd_sweep(cfg: dict) -> dict:
     params = build_market(cfg)
     loss = build_loss(cfg)
     s = cfg["sweep"]
-    pi_grid = _nodes(s["pi_lo"], s["pi_hi"], s["pi_step"], f"sweep.pi_step = {s['pi_step']!r} "
-                     f"over [pi_lo, pi_hi] = [{s['pi_lo']!r}, {s['pi_hi']!r}]")
+    pi_grid = _nodes(s["pi_lo"], s["pi_hi"], s["pi_step"], _sweep_where(s))
     points, mc_idx = sweep(params, loss, pi_grid, build_mc(cfg))
     exact = np.asarray(expected_log_utility_exact(params, pi_grid, loss))
     exact_idx = int(np.argmax(exact))
@@ -422,7 +449,6 @@ def cmd_verify(cfg: dict) -> dict:
     f0_closed = f_closed_form(params, 0.0, variant)
     curve, _, ode_gate = _ode_route(cfg, params, variant)
     hjb, offsets = _hjb_route(cfg, params, loss)
-    value_exact = expected_log_utility_exact(params, pi_star, loss)
 
     lo, hi = cfg["control_bounds"]
     argmax_grid = _nodes(lo, hi, ARGMAX_GRID_STEP,
@@ -430,7 +456,7 @@ def cmd_verify(cfg: dict) -> dict:
     oracle_vals = np.asarray(expected_log_utility_exact(params, argmax_grid, loss))
     argmax_dev = abs(float(argmax_grid[int(np.argmax(oracle_vals))]) - pi_star)
 
-    est = estimate(params, pi_star, loss, build_mc(cfg))
+    est, value_exact, mc_gate = _mc_route(cfg, params, loss, pi_star)
 
     exact_dev = abs(f0_closed - (value_exact - math.log(params.w0)))
     gates = [
@@ -438,7 +464,7 @@ def cmd_verify(cfg: dict) -> dict:
         ode_gate,
         _gate("hjb_vs_closed", np.max(np.abs(offsets - f0_closed)), TOL_HJB_VS_CLOSED),
         _gate("exact_oracle_vs_closed", exact_dev, TOL_EXACT_VS_CLOSED),
-        _gate("mc_vs_exact", abs(est.mean - value_exact), 3.0 * est.std_error),
+        mc_gate,
     ]
     return {
         "config": cfg,

@@ -8,41 +8,40 @@ are driven by the counter-based Philox generator so that path i's draws
 are a pure function of (seed, stream, i): re-runs are bit-identical and
 results do not depend on evaluation order.
 
-A sweep keeps one table of its draws, the paths that default before T as
-indices with their default time; surviving paths enter a policy only
-through their normal draw z, which is not kept. The policies are mapped
-and reduced one leaf at a time along numpy's pairwise-summation tree
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2):
-a leaf of at most _LEAF_PATHS paths is mapped into a reused buffer and
-summed with np.add.reduce, and the leaf sums are added in tree order. A
-second pass maps each leaf again and sums its squared deviations from
-the mean. Antithetic mode takes its unit mean and deviations over the
-n/2 tree of pair averages. Each pass walks the leaves once for all of a
-thread's policies: a leaf's defaulted paths are read once, and their
-values are evaluated for a run of policies at a time, as many as fit a
-leaf's worth of memory. The means and standard errors are bitwise those
-of evaluating the terminal-law formula per policy over every path and
-reducing with np.mean and np.std(ddof=1). A mean or standard error that
-is not finite raises NumericalError.
+A sweep keeps none of its draws: each pass draws a leaf's normals and
+uniforms again and finds the leaf's paths that default before T;
+surviving paths enter a policy only through their normal draw z. The
+policies are mapped and reduced one leaf at a time along numpy's
+pairwise-summation tree (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.2): a leaf of at most _LEAF_PATHS paths is mapped
+into a reused buffer and summed with np.add.reduce, and the leaf sums are
+added in tree order. A second pass maps each leaf again and sums its
+squared deviations from the mean. Antithetic mode takes its unit mean and
+deviations over the n/2 tree of pair averages. Each pass walks the leaves
+once for all of a thread's policies: a leaf's defaulted paths are found
+once, and their values are evaluated for a run of policies at a time, as
+many as fit a leaf's worth of memory. The means and standard errors are
+bitwise those of evaluating the terminal-law formula per policy over
+every path and reducing with np.mean and np.std(ddof=1). A mean or
+standard error that is not finite raises NumericalError.
 
 The policy grid is cut into contiguous shares, one per thread, up to
 _MAX_WORKERS threads (fewer when the process may use fewer CPUs or the
-grid has fewer policies), the first for the caller's thread. Before the
-shares start, the caller draws the uniforms one leaf at a time, turns them
-into default times and keeps the paths that default. The normals are not
-kept: each share draws its own, leaf by leaf in tree order, from a fresh
-generator at the start of each pass (Philox draws made in consecutive
-pieces equal one large draw; Salmon et al., SC'11), so no share waits on
-another. numpy releases the GIL in the draws and the array passes. Every
-policy is still reduced whole by one thread, so results are bitwise
-independent of the worker count, and a failing sweep raises the error of
-its lowest failing policy, as a serial loop would; a KeyboardInterrupt
-stops every other share at its next leaf and is raised instead. Every
-thread is joined before the sweep returns or raises. Memory is the table
-of defaulted paths plus, per share, a leaf of normals, a leaf buffer, the
-policy-free parts of one leaf's defaulted paths and their values under a
-run of policies, a few leaves' worth in all: at low hazard it does not
-grow with the path count.
+grid has fewer policies), the first for the caller's thread. Each share
+draws its own normals and uniforms, leaf by leaf in tree order, from a
+fresh generator of each stream at the start of each pass (Philox draws
+made in consecutive pieces equal one large draw; Salmon et al., SC'11),
+so no share waits on another, and no public function of this module runs
+off the caller's thread. numpy releases the GIL in the draws and the
+array passes. Every policy is still reduced whole by one thread, so
+results are bitwise independent of the worker count, and a failing sweep
+raises the error of its lowest failing policy, as a serial loop would; a
+KeyboardInterrupt stops every other share at its next leaf and is raised
+instead. Every thread is joined before the sweep returns or raises.
+Memory is, per share, a leaf of normals, a leaf buffer, the policy-free
+parts of one leaf's defaulted paths and their values under a run of
+policies, a few leaves' worth in all: it does not grow with the path
+count, at any hazard.
 """
 
 from __future__ import annotations
@@ -129,16 +128,21 @@ def sample_default_time(h: float, u):
     """
     if not h >= 0.0:        # written so that NaN fails
         raise ValueError("hazard must be non-negative")
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = np.array(u, dtype=float)      # a copy, turned into the times in place
     if not (np.all(u_arr > 0.0) and np.all(u_arr < 1.0)):     # NaN fails too
         raise ValueError("u must lie strictly inside (0, 1)")
-    if h == 0.0:
-        out = np.full_like(u_arr, np.inf)
-    else:
-        # a subnormal h overflows the quotient to +inf, the exact answer
-        with np.errstate(over="ignore"):
-            out = -np.log(u_arr) / h
+    out = _default_times(h, u_arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _default_times(h: float, u: np.ndarray) -> np.ndarray:
+    """Turn uniforms u in (0, 1) into the default times -ln(u) / h, in place.
+
+    -ln(u) is positive, so h = 0 gives +inf, and a subnormal h overflows the
+    quotient to +inf: both are the exact answer.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.divide(np.negative(np.log(u, out=u), out=u), h, out=u)
 
 
 def simulate_terminal_log_wealth(params: MarketParams, pi: float,
@@ -154,12 +158,11 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
                                          np.asarray(tau, dtype=float))
     if np.any(np.isnan(tau_arr)) or np.any(tau_arr < 0.0):
         raise ValueError("tau must be a non-negative time or +inf")
-    z_flat, tau_flat = np.ravel(z_arr), np.ravel(tau_arr)
-    hit = np.flatnonzero(tau_flat < params.horizon_T)
-    law = _Policies((hit, tau_flat[hit]), params, loss, [pi])
+    z_flat = np.ravel(z_arr)
+    law = _Policies(params, loss, [pi])
     if law.error is not None:
         raise law.error
-    law.leaf(0, z_flat)
+    law.leaf(z_flat, np.ravel(tau_arr))
     out = law.fill(0, np.empty(z_flat.size))
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
@@ -168,19 +171,17 @@ class _Policies:
     """Terminal log wealth under a list of policies, one leaf of paths at a
     time, with the association of the formula in simulate_terminal_log_wealth.
 
-    defaults is the table (hit, tau_hit): the ascending indices of the paths
-    that default before T, with their default times. leaf takes one leaf's
-    normals, reads its defaulted paths and keeps what no policy changes;
-    fill then writes one policy's values of that leaf into a caller's
-    buffer. The policies end before the first one whose law
-    raises (a linear loss at pi >= 1, say), and error holds that exception
-    for the caller to raise once it has checked the policies before it.
+    leaf takes one leaf's normals and default times, finds the paths that
+    default before T and keeps what no policy changes of them; fill then
+    writes one policy's values of that leaf into a caller's buffer. The
+    policies end before the first one whose law raises (a linear loss at
+    pi >= 1, say), and error holds that exception for the caller to raise
+    once it has checked the policies before it.
     """
 
-    def __init__(self, defaults, params: MarketParams, loss: DefaultLossModel, pis):
+    def __init__(self, params: MarketParams, loss: DefaultLossModel, pis):
         T = self.T = params.horizon_T
-        self.r = params.r
-        self.hit, self.tau_hit = defaults
+        self.r, self.h = params.r, params.h
         self.log_w0 = math.log(params.w0)
         self.pis, self.error = [], None
         # per policy: scale and shift of a survivor's z, and (as columns)
@@ -199,13 +200,13 @@ class _Policies:
             cols.append((alpha, scale, drop))
         self.alpha, self.scale, self.drop = np.reshape(cols, (-1, 3)).T[:, :, None]
 
-    def leaf(self, lo: int, z: np.ndarray) -> None:
-        """Take the leaf of paths lo..lo+z.size-1, whose normals are z (held
-        until the next leaf call), and read its defaulted paths."""
+    def leaf(self, z: np.ndarray, tau: np.ndarray) -> None:
+        """Take a leaf of paths whose normals are z (held until the next leaf
+        call) and whose default times are tau (free once this returns)."""
         self.run, self.values = range(0), None   # no policy's values for this leaf yet
         self.z = z
-        k = slice(*self.hit.searchsorted((lo, lo + z.size)))
-        self.offsets, self.tau = self.hit[k] - lo, self.tau_hit[k]
+        self.offsets = np.flatnonzero(tau < self.T)
+        self.tau = tau[self.offsets]
         self.sqrt_tau, self.z_hit = np.sqrt(self.tau), z[self.offsets]
         self.growth = self.r * (self.T - self.tau)
 
@@ -234,27 +235,6 @@ class _Policies:
         return out
 
 
-def _draw_table(params: MarketParams, cfg: McConfig):
-    """The defaulted paths (hit, tau_hit) of cfg's draws: the ascending
-    indices of the paths that default before T, and their default times.
-
-    Element i of the uniform stream belongs to path i. The uniforms are
-    drawn one leaf at a time, on the caller's thread (tracers of the public
-    functions keep one span stack), and turned into default times.
-    """
-    T = params.horizon_T
-    g_tau = np.random.Generator(np.random.Philox(key=(_TAU_STREAM << 64) | cfg.seed))
-    hits, taus = [], []
-    for lo in range(0, cfg.n_paths, _LEAF_PATHS):
-        u = g_tau.random(min(_LEAF_PATHS, cfg.n_paths - lo))
-        # random() can return exactly 0; nudge to keep the inverse-CDF finite
-        tau = sample_default_time(params.h, np.maximum(u, np.finfo(float).tiny, out=u))
-        hit = np.flatnonzero(tau < T)
-        taus.append(tau[hit])
-        hits.append(np.add(hit, lo, out=hit))
-    return np.concatenate(hits), np.concatenate(taus)
-
-
 def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
     """np.add.reduce over elements lo..lo+n-1, bit for bit, from
     leaf_sum(a, b), np.add.reduce of elements a..b-1 for each subtree of at
@@ -272,12 +252,15 @@ def _reduce_policies(law: _Policies, cfg: McConfig,
     and np.std(units, ddof=1) / sqrt(units.size), bit for bit.
 
     Each pass walks the leaves of numpy's tree once for all the policies.
-    It draws each leaf's normals into z from a fresh generator of the
-    normal stream, started at the pass's first leaf (antithetic mode fills
-    pairs (z, -z) from half as many normals), and maps one policy's leaf of
-    at most _LEAF_PATHS paths at a time into buf: a leaf of normals stays
-    in cache for the other policies, and its defaulted paths are gathered
-    once per pass. A leaf taken once stop is set raises InterruptedError.
+    It draws each leaf's normals into z and its uniforms into buf, each
+    from a fresh generator of its stream started at the pass's first leaf
+    (antithetic mode fills pairs (z, -z) from half as many normals; at
+    h = 0 no uniforms are drawn), and turns the uniforms into default
+    times in place. law.leaf then keeps the leaf's defaulted paths, and
+    one policy's leaf of at most _LEAF_PATHS paths at a time is mapped
+    into buf: a leaf of draws stays in cache for the other policies, and
+    its defaulted paths are found once per pass. A leaf taken once stop is
+    set raises InterruptedError.
     """
     n = cfg.n_paths
     # antithetic pairs are correlated by construction; the independent
@@ -290,18 +273,25 @@ def _reduce_policies(law: _Policies, cfg: McConfig,
     def tree_sums(n_elems, paths_per, finish=None):
         """Per policy, np.add.reduce over n_elems elements, each the average
         of paths_per consecutive paths, passed through finish(j, leaf)."""
-        g_z = np.random.Generator(np.random.Philox(key=(_Z_STREAM << 64) | cfg.seed))
+        g_z, g_tau = (np.random.Generator(np.random.Philox(key=(stream << 64) | cfg.seed))
+                      for stream in (_Z_STREAM, _TAU_STREAM))
 
         def leaf_sums(lo, hi):
             if stop.is_set():
                 raise InterruptedError("another share of the sweep was interrupted")
-            leaf = z[:paths_per * (hi - lo)]
+            leaf, tau = z[:paths_per * (hi - lo)], buf[:paths_per * (hi - lo)]
             if cfg.antithetic:
                 leaf[0::2] = g_z.standard_normal(out=half[:leaf.size // 2])
                 np.negative(leaf[0::2], out=leaf[1::2])
             else:
                 g_z.standard_normal(out=leaf)
-            law.leaf(paths_per * lo, leaf)
+            if law.h == 0.0:
+                tau.fill(np.inf)
+            else:
+                # random() can return exactly 0; nudge to keep the inverse CDF finite
+                g_tau.random(out=tau)
+                _default_times(law.h, np.maximum(tau, np.finfo(float).tiny, out=tau))
+            law.leaf(leaf, tau)
             sums = np.empty(len(law.pis))
             for j in range(sums.size):
                 vals = law.fill(j, buf)
@@ -340,7 +330,7 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     The same (tau, z) draws are reused for every grid point, so the
     empirical argmax is a low-variance comparison. Each thread's share of
     the grid is one _Policies, reduced in one walk of the leaves per pass
-    over normals that the share draws itself. Returns the per-point
+    over draws that the share makes itself. Returns the per-point
     estimates and the maximizing index (ties resolve to the smallest pi).
     """
     pi_arr = np.asarray(pi_grid, dtype=float)
@@ -358,7 +348,7 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
         # numpy's error state is per thread; a non-finite intermediate
         # leaves a non-finite mean or std, which raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            law = _Policies(defaults, params, loss, [float(pi) for pi in pi_arr[lo:hi]])
+            law = _Policies(params, loss, [float(pi) for pi in pi_arr[lo:hi]])
             ests = _reduce_policies(law, cfg, stop)
         for idx, (pi, est) in enumerate(zip(law.pis, ests), lo):
             if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
@@ -373,7 +363,6 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
             else os.cpu_count() or 1)      # not every platform has an affinity
     n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
     edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
-    defaults = _draw_table(params, cfg)
     _in_threads([functools.partial(estimate_range, lo, hi)
                  for lo, hi in zip(edges[:-1], edges[1:])], stop)
     return points, int(np.argmax([est.mean for _, est in points]))

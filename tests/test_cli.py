@@ -425,8 +425,9 @@ class TestUnusableSteps:
          "control nodes"),
         ("mc-estimate", {"mc": {"n_paths": 2 ** 62}}, "mc.n_paths"),
         # non-finite grids, control nodes and pi
-        *(("hjb-solve", {"grid": dict(GRID, **bad)}, "x_min")
-          for bad in ({"x_min": -INF}, {"x_max": INF}, {"x_min": -1e308, "x_max": 1e308})),
+        *(("hjb-solve", {"grid": dict(GRID, **bad)}, key)
+          for bad, key in (({"x_min": -INF}, "x_min"), ({"x_max": INF}, "x_max"),
+                           ({"x_min": -1e308, "x_max": 1e308}, "x_min"))),
         ("hjb-solve", {"grid": dict(GRID, control_nodes=[float("nan")])}, "control_nodes"),
         ("hjb-solve", {"control_bounds": [0, INF],
                        "grid": dict(GRID, control_nodes=[0.0, INF])}, "control_nodes"),
@@ -538,6 +539,51 @@ class TestErrorContract:
         assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == ("configuration error: linear loss requires "
                                            "pi < 1 (wealth would hit zero)\n")
+
+
+LINEAR_LOSS_PI = "linear loss requires pi < 1 (wealth would hit zero)"
+
+
+class TestEveryCommandJudgesTheWholeConfig:
+    """A fault in any key is a configuration error (exit 2) for every command,
+    not only for the command that reads the key, with the message that
+    command prints."""
+
+    @pytest.mark.parametrize("over, message", [
+        # each of these once meant one RK4 step, the control 0 and a one-row sweep
+        ({"ode": {"step": INF}}, "ode.step must be a finite number"),
+        ({"grid": dict(GRID, control_step=INF)}, "grid.control_step must be a finite number"),
+        ({"sweep": {"pi_step": INF}}, "sweep.pi_step must be a finite number"),
+        *(({"sweep": {key: float("nan")}}, f"sweep.{key} must be a finite number")
+          for key in ("pi_lo", "pi_hi", "pi_step")),
+        ({"loss_mode": "linear", "control_bounds": [0.0, 0.9], "pi": 1.0}, LINEAR_LOSS_PI),
+        ({"loss_mode": "linear", "control_bounds": [0.0, 0.9],
+          "sweep": {"pi_lo": 0.5, "pi_hi": 1.0, "pi_step": 0.1}}, LINEAR_LOSS_PI),
+        ({"grid": dict(GRID, control_nodes=[0.0, 3.5])},
+         "control_nodes fall outside the problem's control_bounds"),
+        ({"sweep": {"pi_step": 1e-320}},
+         "sweep.pi_step = 1e-320 over [pi_lo, pi_hi] = [0.0, 3.0] gives inf intervals"),
+    ])
+    def test_exit_2_from_every_command(self, tmp_path, capsys, over, message):
+        path = write_config(tmp_path, base_config(**over))
+        for command in cli._COMMANDS:
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr() == ("", f"configuration error: {message}\n"), command
+
+    def test_no_interior_window_is_found_before_the_solve(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def solve_system(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli, "solve_system", solve_system)
+        cfg = base_config()
+        cfg["grid"].update(x_min=-2.0, x_max=2.0)    # narrower than the largest jump, 3
+        path = write_config(tmp_path, cfg)
+        for command in ("hjb-solve", "verify"):
+            assert cli.main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(
+                "configuration error: no node of [x_min, x_max] lies 4.5 above x_min")
 
 
 _FIELDS = ([("market", k) for k in ACCEPT_MARKET]

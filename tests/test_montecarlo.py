@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import signal
@@ -240,7 +241,7 @@ class TestSweep:
 
 # --------------------------------------------------------------------------
 # bitwise reference: serial draws, and the per-policy terminal map and
-# summary that the shared path table replaced, kept here verbatim
+# summary that the leaf-wise sweep replaced, kept here verbatim
 # --------------------------------------------------------------------------
 
 def _reference_draws(cfg):
@@ -443,62 +444,88 @@ class TestLeafwiseReduction:
 
         assert leaf_ends(131_088 // 2, LEAF // 2, 2) - leaf_ends(131_088, LEAF, 1)
 
-    def test_default_times_are_drawn_on_the_callers_thread(self, monkeypatch):
+    def test_a_sweep_calls_no_public_function_off_the_callers_thread(self, monkeypatch):
         # tracers wrap the public functions with one span stack
         threads = []
-        draw = montecarlo.sample_default_time
 
-        def spy(h, u):
-            threads.append(threading.current_thread())
-            return draw(h, u)
+        def spy(fn):
+            def call(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(montecarlo, "sample_default_time", spy)
+        for name, fn in list(vars(montecarlo).items()):
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == montecarlo.__name__):
+                monkeypatch.setattr(montecarlo, name, spy(fn))
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
-        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=3 * LEAF + 5, seed=4))
-        assert len(threads) == 4 and set(threads) == {threading.current_thread()}
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=5.0, horizon_T=1.0, w0=1.0)
+        for antithetic in (False, True):
+            montecarlo.sweep(params, EXP, GRIDS[EXP],
+                             McConfig(n_paths=3 * LEAF + 6, seed=4, antithetic=antithetic))
+        assert threads and set(threads) == {threading.current_thread()}
+
+    @staticmethod
+    def _traced_peak(params, cfg):
+        sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=100, seed=0))   # first-call imports
+        tracemalloc.start()
+        try:
+            sweep(params, EXP, GRIDS[EXP], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("h", [0.02, 5.0], ids=["low-hazard", "high-hazard"])
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_peak_memory_is_the_defaulted_table_and_a_few_leaves(self, monkeypatch,
-                                                                 max_workers, antithetic, h):
-        # the table of defaulted paths (16 bytes a defaulted path, twice that
-        # while the per-leaf pieces are joined) and a count of leaves that
-        # does not grow with the path count: the caller's uniforms of one
-        # leaf with their default times and temporaries and, per share, a
-        # leaf of normals (and half a leaf in antithetic mode), a leaf
-        # buffer and one leaf's defaulted paths (5.3 leaves measured); a
-        # whole-array normal draw would add 8 bytes a path
+    def test_peak_memory_is_a_few_leaves_per_share(self, monkeypatch, max_workers,
+                                                   antithetic, h):
+        # per share, a count of leaves that does not grow with the path count:
+        # a leaf of normals (and half a leaf in antithetic mode), a leaf buffer
+        # that holds the uniforms until they are default times, a leaf's worth
+        # of values under a run of policies, and five arrays over one leaf's
+        # defaulted paths (2.3-3.0 leaves a share measured at h = 0.02, 7.3-7.8
+        # at h = 5); a table of the defaulted paths would add 16-32 bytes a
+        # defaulted path, and a whole-array draw 8 bytes a path
         _WorkerSpy(monkeypatch, max_workers, cpus=2)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
-        n_paths = 400_000
-        cfg = McConfig(n_paths=n_paths, seed=3, antithetic=antithetic)
-        tracemalloc.start()
-        try:
-            sweep(params, EXP, GRIDS[EXP], cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._traced_peak(params, McConfig(n_paths=400_000, seed=3,
+                                                  antithetic=antithetic))
         defaulted = -math.expm1(-h * params.horizon_T)
-        leaf = 8 * LEAF
-        assert peak < 32 * defaulted * n_paths * 1.25 + 8 * leaf
+        assert peak < max_workers * (4 + 5 * defaulted) * 8 * LEAF
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_path_count(self, monkeypatch, max_workers,
+                                                           antithetic):
+        # at h = 5 nearly every path defaults: four times the paths, the same
+        # peak to within one leaf
+        _WorkerSpy(monkeypatch, max_workers, cpus=2)
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=5.0, horizon_T=1.0, w0=1.0)
+        small, large = (self._traced_peak(params, McConfig(n_paths=n_paths, seed=3,
+                                                           antithetic=antithetic))
+                        for n_paths in (400_000, 1_600_000))
+        assert large <= small + 8 * LEAF
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("h", [0.02, 5.0])
     def test_each_pass_reads_each_leaf_once_per_share(self, monkeypatch, h, antithetic):
-        # blocks of policies within a share would walk the leaves once per block
-        # and each leaf's normals are its paths' draws
+        # blocks of policies within a share would walk the leaves once per block;
+        # each leaf's normals and default times are its paths' draws
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
         n_paths = 3 * LEAF + 6
         cfg = McConfig(n_paths=n_paths, seed=5, antithetic=antithetic)
-        z_ref = _reference_draws(cfg)[1]
+        u_ref, z_ref = _reference_draws(cfg)
         calls = {}
         read_leaf = montecarlo._Policies.leaf
 
-        def spy(law, lo, z):
-            calls.setdefault(threading.current_thread(), []).append((lo, lo + z.size))
+        def spy(law, z, tau):
+            leaves = calls.setdefault(threading.current_thread(), [])
+            lo = leaves[-1][1] % n_paths if leaves else 0    # a pass starts at path 0
+            leaves.append((lo, lo + z.size))
             assert z.tobytes() == z_ref[lo:lo + z.size].tobytes()
-            return read_leaf(law, lo, z)
+            assert tau.tobytes() == sample_default_time(h, u_ref[lo:lo + z.size]).tobytes()
+            return read_leaf(law, z, tau)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
@@ -523,17 +550,20 @@ class TestLeafwiseReduction:
             assert got == [leaf for walk in passes for leaf in walk]
 
 
-def _spy_normals(monkeypatch, before_draw):
+def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
     """Route the module's generators through a wrapper that calls
-    before_draw(generator, count) ahead of each normal draw of count numbers."""
+    before_draw(generator, count) ahead of each normal draw of count numbers,
+    and before_uniforms(generator, count) ahead of each uniform draw."""
     generator = np.random.Generator
 
     class Spy:
         def __init__(self, bit_generator):
             self.real = generator(bit_generator)
 
-        def random(self, *args, **kwargs):
-            return self.real.random(*args, **kwargs)
+        def random(self, *args, out=None, **kwargs):
+            if before_uniforms is not None:
+                before_uniforms(self, args[0] if out is None else out.size)
+            return self.real.random(*args, out=out, **kwargs)
 
         def standard_normal(self, *args, out=None, **kwargs):
             before_draw(self, out.size)
@@ -550,13 +580,13 @@ def _fail_at_leaf(monkeypatch, failures):
     caller, counts, at_raise = threading.current_thread(), {}, {}
     read_leaf = montecarlo._Policies.leaf
 
-    def spy(law, lo, z):
+    def spy(law, z, tau):
         who = "caller" if threading.current_thread() is caller else "helper"
         counts[who] = counts.get(who, 0) + 1
         if who in failures and counts[who] == failures[who][0]:
             at_raise[who] = dict(counts)
             raise failures[who][1]
-        return read_leaf(law, lo, z)
+        return read_leaf(law, z, tau)
 
     monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
     return counts, at_raise
@@ -588,6 +618,27 @@ class TestNormalStream:
                     == [self.N_PATHS // (2 if antithetic else 1)] * passes)
             assert max(max(counts) for counts in per_generator.values()) <= LEAF
 
+    @pytest.mark.parametrize("h", [0.0, 0.02], ids=["no-hazard", "hazard"])
+    def test_uniforms_are_drawn_once_per_pass_and_share_unless_h_is_zero(self, workers, h):
+        drawn, lock = {}, threading.Lock()    # per share, the uniforms of each generator
+
+        def record(generator, count):
+            with lock:
+                per_generator = drawn.setdefault(threading.current_thread(), {})
+                per_generator.setdefault(generator, []).append(count)
+
+        _spy_normals(workers.monkeypatch, lambda generator, count: None, record)
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
+        sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=self.N_PATHS, seed=6))
+        if h == 0.0:
+            assert drawn == {}      # no path can default
+            return
+        # the mean and the deviations, each pass from a generator of its own
+        assert len(drawn) == min(workers.cap, len(GRIDS[EXP]))
+        for per_generator in drawn.values():
+            assert [sum(counts) for counts in per_generator.values()] == [self.N_PATHS] * 2
+            assert max(max(counts) for counts in per_generator.values()) <= LEAF
+
     def test_a_slow_share_does_not_hold_the_others_back(self, monkeypatch):
         # while the caller's share sleeps 5 ms per leaf, the helper's takes
         # all of its leaves: it draws its own normals and waits on no share
@@ -595,11 +646,11 @@ class TestNormalStream:
         caller, by_caller = threading.current_thread(), []
         read_leaf = montecarlo._Policies.leaf
 
-        def spy(law, lo, z):
+        def spy(law, z, tau):
             by_caller.append(threading.current_thread() is caller)
             if by_caller[-1]:
                 time.sleep(0.005)
-            return read_leaf(law, lo, z)
+            return read_leaf(law, z, tau)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
         sweep(ACCEPT, EXP, [0.5, 1.0], McConfig(n_paths=8 * LEAF, seed=7))
