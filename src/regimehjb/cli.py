@@ -10,9 +10,10 @@ only another command reads. Exit codes: 0 all gates pass, 1 gate failure,
 2 configuration error (wherever it is found: the schema, an integer too
 large for a float, a non-finite number, state grid or control node, a CFL
 violation, control nodes outside the bounds, a linear-loss weight pi >= 1,
-a step size that gives no usable node count, a state grid with no interior
-window, an array too large to allocate, an output path that cannot be
-written), 3 numerical error
+a step size that gives no usable node count, an RK4 step past its
+stability limit, a log(w0) outside [x_min, x_max], a state grid with no
+interior window, an array too large to allocate, an output path that
+cannot be written), 3 numerical error
 (a non-finite quantity met during a solve), 4 internal error (a traceback,
 to be reported as a bug).
 """
@@ -205,10 +206,15 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     validate_grid_for(merton_as_generic(build_market(cfg), build_loss(cfg),
                                         tuple(cfg["control_bounds"])), grid)
     for where, count in (("grid.n_x * (grid.n_t + 1)", grid.n_x * (grid.n_t + 1)),
-                         ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size),
-                         ("mc.n_paths", mc.n_paths)):
+                         ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size)):
         if count > _MAX_VALUES:
             raise ConfigError(f"{where} = {count} values do not fit one array")
+    if mc.n_paths > _MAX_VALUES:    # no array holds a value per path; the cap stays
+        raise ConfigError(f"mc.n_paths = {mc.n_paths} is above the path cap {_MAX_VALUES}")
+    x0 = math.log(cfg["market"]["w0"])
+    if not grid.x_min <= x0 <= grid.x_max:
+        raise ConfigError(f"log(market.w0) = {x0!r} lies outside [grid.x_min, grid.x_max] "
+                          f"= [{grid.x_min!r}, {grid.x_max!r}]")
     return cfg
 
 
@@ -279,7 +285,9 @@ def build_ode(cfg: dict) -> OdeConfig:
     # the interval count first: a NaN step is reported naming ode.step
     step, horizon = cfg["ode"]["step"], cfg["market"]["horizon_T"]
     _intervals(horizon, step, f"ode.step = {step!r} over horizon_T = {horizon!r}")
-    return _built("ode section", OdeConfig, **cfg["ode"])
+    ode = _built("ode section", OdeConfig, **cfg["ode"])
+    ode.stable_step(build_market(cfg))      # RK4 past its stability limit names ode.step
+    return ode
 
 
 def build_grid(cfg: dict) -> GridSpec:
@@ -443,6 +451,9 @@ def cmd_verify(cfg: dict) -> dict:
     loss = build_loss(cfg)
     variant = build_variant(cfg)
     pi_star = optimal_weight(params)
+    lo, hi = cfg["control_bounds"]
+    argmax_grid = _nodes(lo, hi, ARGMAX_GRID_STEP,     # before the solves: it can fail
+                         f"the oracle grid over control_bounds [{lo!r}, {hi!r}]")
 
     # the scalar form: the array form on the RK4 times uses np.expm1, which
     # can differ in the last bit
@@ -450,9 +461,6 @@ def cmd_verify(cfg: dict) -> dict:
     curve, _, ode_gate = _ode_route(cfg, params, variant)
     hjb, offsets = _hjb_route(cfg, params, loss)
 
-    lo, hi = cfg["control_bounds"]
-    argmax_grid = _nodes(lo, hi, ARGMAX_GRID_STEP,
-                         f"the oracle grid over control_bounds [{lo!r}, {hi!r}]")
     oracle_vals = np.asarray(expected_log_utility_exact(params, argmax_grid, loss))
     argmax_dev = abs(float(argmax_grid[int(np.argmax(oracle_vals))]) - pi_star)
 

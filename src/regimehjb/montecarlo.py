@@ -22,8 +22,7 @@ once for all of a thread's policies: a leaf's defaulted paths are found
 once, and their values are evaluated for a run of policies at a time, as
 many as fit a leaf's worth of memory. The means and standard errors are
 bitwise those of evaluating the terminal-law formula per policy over
-every path and reducing with np.mean and np.std(ddof=1). A mean or
-standard error that is not finite raises NumericalError.
+every path and reducing with np.mean and np.std(ddof=1).
 
 The policy grid is cut into contiguous shares, one per thread, up to
 _MAX_WORKERS threads (fewer when the process may use fewer CPUs or the
@@ -34,10 +33,14 @@ made in consecutive pieces equal one large draw; Salmon et al., SC'11),
 so no share waits on another, and no public function of this module runs
 off the caller's thread. numpy releases the GIL in the draws and the
 array passes. Every policy is still reduced whole by one thread, so
-results are bitwise independent of the worker count, and a failing sweep
-raises the error of its lowest failing policy, as a serial loop would; a
-KeyboardInterrupt stops every other share at its next leaf and is raised
-instead. Every thread is joined before the sweep returns or raises.
+results are bitwise independent of the worker count. The shares only
+compute: the caller builds their policies first, so the lowest policy
+without a law raises before anything is drawn, and once every share has
+finished it raises NumericalError for the lowest policy whose mean or
+standard error is not finite. An error in a share is raised before that
+(the first share's); a KeyboardInterrupt stops every other share at its
+next leaf and is raised first. Every thread is joined before the sweep
+returns or raises.
 Memory is, per share, a leaf of normals, a leaf buffer, the policy-free
 parts of one leaf's defaulted paths and their values under a run of
 policies, a few leaves' worth in all: it does not grow with the path
@@ -57,7 +60,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .closedform import policy_log_drift
-from .model import ConfigError, DefaultLossModel, MarketParams, NumericalError
+from .model import DefaultLossModel, MarketParams, NumericalError
 
 # stream tags mixed into the 128-bit Philox key; default times and
 # diffusion draws come from independent streams
@@ -160,8 +163,6 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
         raise ValueError("tau must be a non-negative time or +inf")
     z_flat = np.ravel(z_arr)
     law = _Policies(params, loss, [pi])
-    if law.error is not None:
-        raise law.error
     law.leaf(z_flat, np.ravel(tau_arr))
     out = law.fill(0, np.empty(z_flat.size))
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
@@ -174,31 +175,25 @@ class _Policies:
     leaf takes one leaf's normals and default times, finds the paths that
     default before T and keeps what no policy changes of them; fill then
     writes one policy's values of that leaf into a caller's buffer. The
-    policies end before the first one whose law raises (a linear loss at
-    pi >= 1, say), and error holds that exception for the caller to raise
-    once it has checked the policies before it.
+    first policy without a law (a linear loss at pi >= 1, say) raises its
+    error from the constructor, before anything is drawn.
     """
 
     def __init__(self, params: MarketParams, loss: DefaultLossModel, pis):
         T = self.T = params.horizon_T
         self.r, self.h = params.r, params.h
         self.log_w0 = math.log(params.w0)
-        self.pis, self.error = [], None
+        self.pis = pis
         # per policy: scale and shift of a survivor's z, and (as columns)
         # the drift, z scale and log drop of a defaulted path
         self.survived, cols = [], []
         for pi in pis:
-            try:
-                drop = loss.log_wealth_drop(pi)
-                alpha = policy_log_drift(params, pi)
-            except (ConfigError, NumericalError) as exc:   # raised by the caller
-                self.error = exc
-                break
+            drop = loss.log_wealth_drop(pi)
+            alpha = policy_log_drift(params, pi)
             scale = pi * params.sigma
-            self.pis.append(pi)
             self.survived.append((scale * math.sqrt(T), self.log_w0 + alpha * T))
             cols.append((alpha, scale, drop))
-        self.alpha, self.scale, self.drop = np.reshape(cols, (-1, 3)).T[:, :, None]
+        self.alpha, self.scale, self.drop = np.transpose(cols)[:, :, None]
 
     def leaf(self, z: np.ndarray, tau: np.ndarray) -> None:
         """Take a leaf of paths whose normals are z (held until the next leaf
@@ -329,9 +324,11 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
 
     The same (tau, z) draws are reused for every grid point, so the
     empirical argmax is a low-variance comparison. Each thread's share of
-    the grid is one _Policies, reduced in one walk of the leaves per pass
-    over draws that the share makes itself. Returns the per-point
-    estimates and the maximizing index (ties resolve to the smallest pi).
+    the grid is one _Policies, built on the caller's thread before any
+    share starts and reduced in one walk of the leaves per pass over draws
+    that the share makes itself; the caller judges the estimates once every
+    share has finished. Returns the per-point estimates and the maximizing
+    index (ties resolve to the smallest pi).
     """
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
@@ -341,30 +338,28 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
     if pi_arr.size > 1 and not np.all(np.diff(pi_arr) > 0.0):
         raise ValueError("pi_grid must be strictly ascending")
 
-    points: List[Tuple[float, McEstimate]] = [None] * pi_arr.size
-    stop = threading.Event()      # set by a KeyboardInterrupt
-
-    def estimate_range(lo: int, hi: int) -> None:
-        # numpy's error state is per thread; a non-finite intermediate
-        # leaves a non-finite mean or std, which raises
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            law = _Policies(params, loss, [float(pi) for pi in pi_arr[lo:hi]])
-            ests = _reduce_policies(law, cfg, stop)
-        for idx, (pi, est) in enumerate(zip(law.pis, ests), lo):
-            if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-                raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
-            points[idx] = (pi, est)
-        if law.error is not None:
-            raise law.error
-
-    # contiguous shares in grid order: the first share that fails holds the
-    # lowest failing policy, the one a serial loop would report
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)      # not every platform has an affinity
     n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
     edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
-    _in_threads([functools.partial(estimate_range, lo, hi)
-                 for lo, hi in zip(edges[:-1], edges[1:])], stop)
+    # numpy's error state is per thread; a non-finite intermediate leaves a
+    # non-finite mean or std, judged once every share has finished
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+    with quiet():       # every law, lowest policy first, before any draw
+        laws = [_Policies(params, loss, [float(pi) for pi in pi_arr[lo:hi]])
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    shares = [None] * n_workers
+    stop = threading.Event()      # set by a KeyboardInterrupt
+
+    def reduce_share(k: int) -> None:
+        with quiet():
+            shares[k] = _reduce_policies(laws[k], cfg, stop)
+
+    _in_threads([functools.partial(reduce_share, k) for k in range(n_workers)], stop)
+    points = [point for law, ests in zip(laws, shares) for point in zip(law.pis, ests)]
+    for pi, est in points:
+        if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+            raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
     return points, int(np.argmax([est.mean for _, est in points]))
 
 

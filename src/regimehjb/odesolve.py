@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import FCoefficientVariant, f_ode_coefficients
-from .model import FCurve, MarketParams
+from .model import ConfigError, FCurve, MarketParams
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,22 @@ class OdeConfig:
         # despite binary rounding of T/step
         return max(1, math.ceil(horizon / self.step - 1e-9))
 
+    def stable_step(self, params: MarketParams) -> float:
+        """The step ds = T / n_intervals(T) taken on params' horizon.
+
+        The equation decays at rate h, so RK4 multiplies an error by
+        R(-h ds) = 1 + z + z^2/2 + z^3/6 + z^4/24 (z = -h ds) each step; a
+        step with |R| > 1 (h ds beyond about 2.785) grows it without bound,
+        which is a config error naming ode.step.
+        """
+        ds = params.horizon_T / self.n_intervals(params.horizon_T)
+        z = -params.h * ds
+        growth = abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+        if growth > 1.0:
+            raise ConfigError(f"ode.step = {self.step!r} gives RK4 steps of {ds!r} that are "
+                              f"unstable at h = {params.h!r}: |R(-h ds)| = {growth!r} > 1")
+        return ds
+
 
 def solve_f_backward(params: MarketParams,
                      variant: FCoefficientVariant = FCoefficientVariant.DERIVED,
@@ -49,7 +65,8 @@ def solve_f_backward(params: MarketParams,
 
         g(s) = f(T - s),   g'(s) = -h g(s) + K + r + h r s,   g(0) = 0.
 
-    Returns an FCurve on the uniform grid including t = 0 and t = T.
+    Returns an FCurve on the uniform grid including t = 0 and t = T; a step
+    past RK4's stability limit is a ConfigError (see OdeConfig.stable_step).
     """
     k = f_ode_coefficients(params, variant)
     h, r, T = params.h, params.r, params.horizon_T
@@ -57,8 +74,8 @@ def solve_f_backward(params: MarketParams,
     def rhs(s, g):
         return -h * g + k + r + h * r * s
 
+    ds = cfg.stable_step(params)
     n = cfg.n_intervals(T)
-    ds = T / n
     values = np.empty(n + 1)
     values[0] = 0.0
     g = 0.0

@@ -563,6 +563,16 @@ class TestEveryCommandJudgesTheWholeConfig:
          "control_nodes fall outside the problem's control_bounds"),
         ({"sweep": {"pi_step": 1e-320}},
          "sweep.pi_step = 1e-320 over [pi_lo, pi_hi] = [0.0, 3.0] gives inf intervals"),
+        # RK4 past its stability limit: ode-check printed "f0_rk4": NaN
+        ({"market": dict(ACCEPT_MARKET, h=3e4)},
+         "ode.step = 0.0001 gives RK4 steps of 0.0001 that are unstable at h = 30000.0: "
+         "|R(-h ds)| = 1.375 > 1"),
+        # x0 = log w0 off the state grid: hjb-solve reported the edge node as x0
+        ({"grid": dict(GRID, x_min=2.0, x_max=10.0)},
+         "log(market.w0) = 0.0 lies outside [grid.x_min, grid.x_max] = [2.0, 10.0]"),
+        ({"market": dict(ACCEPT_MARKET, w0=1e3), "grid": dict(GRID, x_min=-4.0, x_max=4.0)},
+         "log(market.w0) = 6.907755278982137 lies outside [grid.x_min, grid.x_max] "
+         "= [-4.0, 4.0]"),
     ])
     def test_exit_2_from_every_command(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, base_config(**over))
@@ -584,6 +594,20 @@ class TestEveryCommandJudgesTheWholeConfig:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(
                 "configuration error: no node of [x_min, x_max] lies 4.5 above x_min")
+
+    def test_the_oracle_grid_is_built_before_the_solves(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(cli, "solve_f_backward", solve)
+        monkeypatch.setattr(cli, "solve_system", solve)
+        cfg = base_config(control_bounds=[0, INF],
+                          grid=dict(GRID, control_nodes=[0.0, 1.0, 2.0]))
+        assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: the oracle grid over control_bounds [0.0, inf] "
+                "gives inf intervals\n")
 
 
 _FIELDS = ([("market", k) for k in ACCEPT_MARKET]

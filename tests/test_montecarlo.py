@@ -725,18 +725,51 @@ class TestNonFiniteEstimates:
                 sweep(params, EXP, [0.0, 3.0], McConfig(n_paths=100, seed=0))
 
     @pytest.mark.parametrize("max_workers", [1, 2, 16])
-    def test_a_policy_without_a_law_fails_after_the_policies_below_it(self, monkeypatch,
-                                                                     max_workers):
-        # linear loss has no law at pi >= 1; a lower non-finite policy is
-        # still the one reported, and otherwise the first pi >= 1 is
+    def test_a_policy_without_a_law_wins_over_a_lower_non_finite_policy(self, monkeypatch,
+                                                                       max_workers):
+        # linear loss has no law at pi >= 1: it is judged before anything is
+        # drawn, so it is reported even where pi = 0.5 would not be finite
         _WorkerSpy(monkeypatch, max_workers, cpus=16)
         grid = [0.0, 0.5, 0.9, 1.0, 1.5]
         cfg = McConfig(n_paths=100, seed=0)
         wild = MarketParams(mu=0.08, sigma=1e154, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
-        with pytest.raises(NumericalError, match=r"pi=0\.5 is"):
+        with pytest.raises(ConfigError, match="pi < 1"):
             sweep(wild, LIN, grid, cfg)
         with pytest.raises(ConfigError, match="pi < 1"):
             sweep(ACCEPT, LIN, grid, cfg)
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("max_workers", [1, 2, 16])
+    def test_a_policy_without_a_law_reduces_no_share(self, monkeypatch, max_workers,
+                                                     antithetic):
+        # sigma^2 overflows at every policy; linear loss has no law from pi = 1
+        workers = _WorkerSpy(monkeypatch, max_workers, cpus=16)
+        cfg = McConfig(n_paths=4 * LEAF, seed=0, antithetic=antithetic)
+        wild = MarketParams(mu=0.08, sigma=1e200, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
+        with pytest.raises(NumericalError, match="sigma"):
+            sweep(wild, EXP, GRIDS[EXP], cfg)
+        with pytest.raises(ConfigError, match="pi < 1"):
+            sweep(ACCEPT, LIN, np.linspace(0.0, 1.5, 16), cfg)
+        assert workers.threads == set()
+
+    def test_every_law_is_built_on_the_callers_thread_before_any_share(self, workers):
+        events, lock = [], threading.Lock()
+        init, reduce_policies = montecarlo._Policies.__init__, montecarlo._reduce_policies
+
+        def record(what, fn):
+            def call(*args):
+                with lock:
+                    events.append((what, threading.current_thread()))
+                return fn(*args)
+            return call
+
+        workers.monkeypatch.setattr(montecarlo._Policies, "__init__", record("law", init))
+        workers.monkeypatch.setattr(montecarlo, "_reduce_policies",
+                                    record("reduce", reduce_policies))
+        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=100, seed=0))
+        n_shares = min(workers.cap, len(GRIDS[EXP]))
+        assert events[:n_shares] == [("law", threading.current_thread())] * n_shares
+        assert [what for what, _ in events[n_shares:]] == ["reduce"] * n_shares
 
     def test_single_antithetic_pair_has_no_standard_error(self):
         # one pair average cannot give a ddof=1 spread: a configuration error

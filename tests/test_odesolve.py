@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from strategies import markets
 
 from regimehjb.closedform import FCoefficientVariant, f_closed_form
-from regimehjb.model import MarketParams
+from regimehjb.model import ConfigError, MarketParams
 from regimehjb.odesolve import OdeConfig, solve_f_backward
 
 DERIVED = FCoefficientVariant.DERIVED
@@ -82,6 +82,17 @@ class TestSolveFBackward:
         limit = f_closed_form(p, 0.0, DERIVED)  # h below threshold: limit formula
         assert curve.values[0] == pytest.approx(limit, abs=1e-9)
         assert limit == pytest.approx(0.065, abs=1e-9)
+
+    def test_a_step_past_the_stability_limit_is_a_config_error(self):
+        # h ds = 2.78 is inside RK4's real stability interval (about 2.785),
+        # 2.79 is past it: f0 was -2.2e36 there
+        def at(h):
+            return MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
+
+        closed = f_closed_form(at(2.78e4), 0.0, DERIVED)
+        assert solve_f_backward(at(2.78e4)).values[0] == pytest.approx(closed, rel=1e-2)
+        with pytest.raises(ConfigError, match=r"^ode\.step = 0\.0001 gives RK4 steps"):
+            solve_f_backward(at(2.79e4))
 
 
 class TestOdeProperties:
