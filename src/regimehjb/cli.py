@@ -15,7 +15,8 @@ stability limit, a log(w0) outside [x_min, x_max], a state grid with no
 interior window, an array too large to allocate, an output path that
 cannot be written), 3 numerical error
 (a non-finite quantity met during a solve), 4 internal error (a traceback,
-to be reported as a bug).
+to be reported as a bug; a computed report number that is not finite is
+one, and it writes no report).
 """
 
 from __future__ import annotations
@@ -362,13 +363,15 @@ def cmd_ode_check(cfg: dict) -> dict:
 
 def _hjb_route(cfg: dict, params: MarketParams, loss: DefaultLossModel):
     """Grid solve summarized at the node nearest x0 = log w0, plus the t = 0
-    offsets -v_pre - x (each node's estimate of f(0)) on the interior window."""
+    offsets -v_pre - x (each node's estimate of f(0)) on the interior window
+    and at that node, so a boundary-polluted x0 shows in the gate."""
     problem = merton_as_generic(params, loss, tuple(cfg["control_bounds"]))
     grid = build_grid(cfg)
     mask = interior_nodes_mask(grid, loss, grid.control_nodes)   # before the solve
     surface = solve_system(problem, grid)
     x = grid.x_nodes
     j0 = int(np.argmin(np.abs(x - math.log(params.w0))))
+    mask[j0] = True
     summary = {"f0_hjb": float(-surface.v_pre[0, j0] - x[j0]), "x0": float(x[j0]),
                "policy_at_x0": float(surface.policy[0, j0])}
     return summary, -surface.v_pre[0, mask] - x[mask]
@@ -504,6 +507,10 @@ _COMMANDS = {
 
 
 def render_report(report: dict) -> str:
+    """The report as JSON. A computed number that is not finite is a bug
+    (ValueError), never a NaN or Infinity token; only the config echo may hold
+    one, an infinite control bound that the schema accepts."""
+    json.dumps({k: v for k, v in report.items() if k != "config"}, allow_nan=False)
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -530,19 +537,23 @@ def main(argv=None) -> int:
                           variant_override=args.variant)
         report = _COMMANDS[args.command](cfg)
         out = args.out or cfg["output_path"]
-        if args.command == "sweep" and not out:
-            raise ConfigError("sweep needs --out or output_path for its CSV")
+        table = report if args.command == "sweep" else None
+        if table is not None:
+            if not out:
+                raise ConfigError("sweep needs --out or output_path for its CSV")
+            # the rows go to the CSV, the rest of the report to stdout
+            report = {k: v for k, v in table.items() if k != "rows"}
+        text = render_report(report)    # before any file is opened: it can fail
         try:
-            if args.command == "sweep":
-                write_sweep_csv(report, out)
-                report, out = {k: v for k, v in report.items() if k != "rows"}, None
-            if out:
+            if table is not None:
+                write_sweep_csv(table, out)
+            elif out:
                 with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(render_report(report))
+                    fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
-        if not out:
-            sys.stdout.write(render_report(report))
+        if table is not None or not out:
+            sys.stdout.write(text)
     except (ConfigError, MemoryError) as exc:   # MemoryError: a size too large to allocate
         print(f"configuration error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,16 +23,15 @@ evaluated; the loop around it checks that each new row is finite.
 The system is coupled one way: a pre-switch step at row i reads only row
 i+1 of the post-switch surface, through V_after at the jump targets, which
 does not depend on V_pre. So on Linux, with no second Python thread alive,
-solve_system marches a post regime whose first step minimized over more
-than one control column in a forked child process, while the caller
-marches the pre regime, waiting only until the post row it reads has been
-signalled. The post surface lives in an anonymous shared map that becomes
-the solved surface's v_after without a copy. The child also evaluates
-V_after at the jump targets of rows the caller reaches next (_PostWorker),
-so jump_map, which must be pure, may run there too, more than once per
-step time. The surfaces are bitwise those of solve_after followed by
-solve_pre; whenever this path does not run to its end (a control-free post
-regime such as merton_as_generic's, no process to fork, a lost child, an
+solve_system takes the first post step, then marches the rest of the post
+regime in a forked child process, while the caller marches the pre regime,
+waiting only until the post row it reads has been signalled. The post
+surface lives in an anonymous shared map that becomes the solved surface's
+v_after without a copy. The child also evaluates V_after at the jump
+targets of rows the caller reaches next (_PostWorker), so jump_map, which
+must be pure, may run there too, more than once per step time. The
+surfaces are bitwise those of solve_after followed by solve_pre; whenever
+this path does not run to its end (no process to fork, a lost child, an
 error in the caller's pre march), the child is killed and reaped and
 solve_system runs those two, with their errors and hazard*dt warning.
 """
@@ -298,7 +297,6 @@ class _Kernel:
         # every term fits the mesh: n_x rows and one column or one per control
         terms = (drift, vol, cost) if jump is None else (drift, vol, cost, jump)
         shape = (self.mesh[0], max(a.shape[-1] if a.ndim else 1 for a in terms))
-        self.width = shape[1]
         self._derivatives(v_row)
         # upwind first difference: forward where drift >= 0, else backward
         ham = self._buf("ham", shape)
@@ -418,14 +416,13 @@ RING, LEAD, REPORT = 4, 2, 2
 
 
 class _PostWorker:
-    """Marches a controlled post regime in a forked child, ahead of the pre march.
+    """Marches the post regime in a forked child, ahead of the pre march.
 
-    post_row, the post march's hand-off, ends the caller's post march after
-    the first row, forking first unless its Hamiltonian had one control
-    column; the child then writes its rows into the shared map and signals
-    each over a pipe with one byte. pre_row, the pre march's, waits for the
-    post row the next pre step reads; it raises ChildProcessError if the
-    child ended first.
+    post_row, the post march's hand-off, forks after the first row and ends
+    the caller's post march there; the child then writes its rows into the
+    shared map and signals each over a pipe with one byte. pre_row, the pre
+    march's, waits for the post row the next pre step reads; it raises
+    ChildProcessError if the child ended first.
 
     With a hazard, the child also fills RING mesh-sized slots of a second map,
     after each post row and then until the caller passes row 1, with at_jump
@@ -464,8 +461,6 @@ class _PostWorker:
                 while self._fill(0):
                     pass
             return False
-        if kernel.width == 1:      # too cheap to overlap: solved serially
-            return True
         pipes = [os.pipe() for _ in range(1 if self.ring is None else 3)]
         try:
             self.pid = os.fork()
@@ -576,9 +571,9 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     """Post-switch solve and the coupled pre-switch solve.
 
     Each solve checks the control nodes; its steps check CFL and finiteness.
-    A controlled post regime is marched in a forked worker beside the pre
-    march; whenever that does not run to its end, solve_after then solve_pre
-    give the result (see the module docstring).
+    The post regime is marched in a forked worker beside the pre march;
+    whenever that does not run to its end, solve_after then solve_pre give
+    the result (see the module docstring).
     """
     v_pre = None
     if (sys.platform.startswith("linux") and hasattr(os, "fork")

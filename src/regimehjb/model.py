@@ -93,9 +93,8 @@ class RegimeControlProblem:
     (``drift_post``, ``vol_post``, ``running_cost``) and ``jump_map`` may run
     in a forked worker process (see ``hjb.solve_system``), ``jump_map``
     possibly more than once per step time, so their side effects are not
-    seen by the caller. Those of the first post-switch step, and those of a
-    march that fails, may run a second time in the caller, which then
-    solves serially.
+    seen by the caller. Those of a march that does not run to its end may
+    run a second time in the caller, which then solves serially.
     """
 
     drift_pre: Callable

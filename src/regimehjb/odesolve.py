@@ -8,6 +8,7 @@ of `closedform.f_closed_form` so the two can cross-check each other.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +71,26 @@ def solve_f_backward(params: MarketParams,
     """
     k = f_ode_coefficients(params, variant)
     h, r, T = params.h, params.r, params.horizon_T
-
-    def rhs(s, g):
-        return -h * g + k + r + h * r * s
-
     ds = cfg.stable_step(params)
     n = cfg.n_intervals(T)
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    g = 0.0
-    for i in range(n):
+    nh, hr, half = -h, h * r, 0.5 * ds
+    # each stage evaluates g' = -h*g + k + r + (h*r)*s inline and left to
+    # right, as ((-h*g + k) + r) + (h*r)*s; the step count i is a float,
+    # which holds the integer exactly below 2**53, so i*ds is the product an
+    # int count gives. g goes straight into a C double array, so no per-step
+    # object outlives its step
+    values = array("d", [0.0])
+    g = i = 0.0
+    while i < n:
         s = i * ds
-        k1 = rhs(s, g)
-        k2 = rhs(s + 0.5 * ds, g + 0.5 * ds * k1)
-        k3 = rhs(s + 0.5 * ds, g + 0.5 * ds * k2)
-        k4 = rhs(s + ds, g + ds * k3)
+        mid = s + half
+        k1 = nh * g + k + r + hr * s
+        k2 = nh * (g + half * k1) + k + r + hr * mid
+        k3 = nh * (g + half * k2) + k + r + hr * mid
+        k4 = nh * (g + ds * k3) + k + r + hr * (s + ds)
         g += ds * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        values[i + 1] = g
+        values.append(g)
+        i += 1.0
 
     times = np.linspace(0.0, T, n + 1)
-    return FCurve(times=times, values=values[::-1])
+    return FCurve(times=times, values=np.frombuffer(values)[::-1])

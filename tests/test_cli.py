@@ -518,6 +518,20 @@ class TestErrorContract:
         assert capsys.readouterr() == (
             "", f"configuration error: cannot write {out}: No such file or directory\n")
 
+    @pytest.mark.parametrize("via", ["stdout", "--out"])
+    def test_non_finite_report_number_exits_4_and_writes_nothing(self, tmp_path, capsys,
+                                                                  monkeypatch, via):
+        real = cli._COMMANDS["closed-form"]
+        monkeypatch.setitem(cli._COMMANDS, "closed-form",
+                            lambda cfg: {**real(cfg), "pi_star": float("nan")})
+        out = tmp_path / "report.json"
+        args = ["closed-form", "--config", write_config(tmp_path, base_config())]
+        assert cli.main(args + (["--out", str(out)] if via == "--out" else [])) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert "ValueError: Out of range float values are not JSON compliant" in captured.err
+
     def test_oracle_grid_ends_at_the_upper_control_bound(self, tmp_path, capsys):
         # a grid past u_hi = 0.9996 would reach pi = 1, where linear loss is
         # undefined; verify then fails its gates (exit 1) as linear loss does
@@ -542,6 +556,20 @@ class TestErrorContract:
 
 
 LINEAR_LOSS_PI = "linear loss requires pi < 1 (wealth would hit zero)"
+
+
+class TestX0OnTheGate:
+    def test_a_boundary_polluted_x0_fails_hjb_vs_closed(self, tmp_path, capsys):
+        # x0 = log w0 = 0 is the edge node x_min, below the interior window;
+        # the gate read only the window (1.96e-7) while f0_hjb was 0.0639
+        cfg = base_config(grid={"x_min": 0.0, "x_max": 8.0, "n_x": 101, "n_t": 1000})
+        assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        gates = {g["name"]: g for g in report["gates"]}
+        assert [n for n, g in gates.items() if not g["pass"]] == ["hjb_vs_closed"]
+        assert gates["hjb_vs_closed"]["deviation"] == pytest.approx(
+            report["f0_hjb"] - report["f0_closed"], rel=1e-9)
+        assert gates["hjb_vs_closed"]["deviation"] == pytest.approx(0.0241, abs=1e-4)
 
 
 class TestEveryCommandJudgesTheWholeConfig:

@@ -703,23 +703,32 @@ class TestPipelinedSolve:
         assert isinstance(base.obj, mmap.mmap)    # numpy holds a memoryview of it
         assert not surf.v_after.flags.writeable
 
-    def test_zero_hazard_pre_solve_ignores_the_post_regime(self, forks):
+    @pytest.mark.parametrize("base, grid, drift_post", [
+        (generic_problem(None), EQUIV_GRID, lambda t, x, u: np.sin(3 * x) + u),
+        (merton_problem(dataclasses.replace(ACCEPT, h=0.0)), small_grid(n_x=41, n_t=150),
+         lambda t, x, u: 0.05),
+    ], ids=["generic", "merton"])
+    def test_zero_hazard_pre_solve_ignores_the_post_regime(self, forks, monkeypatch,
+                                                           base, grid, drift_post):
         def forbidden(t, x, u):
             raise AssertionError("jump_map evaluated at zero hazard")
 
-        prob = dataclasses.replace(generic_problem(forbidden), hazard=0.0)
-        other = dataclasses.replace(prob, drift_post=lambda t, x, u: np.sin(3 * x) + u)
-        s1, s2 = solve_system(prob, EQUIV_GRID), solve_system(other, EQUIV_GRID)
-        assert len(forks) == 2
-        garbage = np.full((EQUIV_GRID.n_t + 1, EQUIV_GRID.n_x), 7.0)
-        v_pre, policy = solve_pre(prob, garbage, EQUIV_GRID)
+        pipes, real = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real()) or pipes[-1])
+        prob = dataclasses.replace(base, jump_map=forbidden, hazard=0.0)
+        other = dataclasses.replace(prob, drift_post=drift_post)
+        s1, s2 = solve_system(prob, grid), solve_system(other, grid)
+        # each solve forked a worker with one pipe (rows) and no ring of jump rows
+        assert len(forks) == 2 and len(pipes) == 2
+        garbage = np.full((grid.n_t + 1, grid.n_x), 7.0)
+        v_pre, policy = solve_pre(prob, garbage, grid)
         for surf in (s1, s2):
             np.testing.assert_array_equal(_bits(surf.v_pre), _bits(v_pre))
             np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
         assert not np.array_equal(s1.v_after, s2.v_after)
 
-    @pytest.mark.parametrize("first_width, pipelined", [(1, False), (13, True)])
-    def test_width_is_decided_by_the_first_post_step(self, forks, first_width, pipelined):
+    @pytest.mark.parametrize("first_width", [1, 13])
+    def test_every_first_post_step_width_forks_once(self, forks, first_width):
         base = generic_problem(lambda t, x, u: x - u)
 
         def drift_post(t, x, u):
@@ -731,7 +740,8 @@ class TestPipelinedSolve:
                                    vol_post=lambda t, x, u: 0.25 + 0.0 * x,
                                    running_cost=lambda t, x, u: 0.0)
         surf = solve_system(prob, EQUIV_GRID)
-        assert len(forks) == int(pipelined)
+        assert len(forks) == 1
+        _assert_no_child()
         _assert_serial_bits(surf, prob, EQUIV_GRID)
 
     def test_post_failure_wins_over_an_earlier_pre_failure(self, forks):
@@ -825,11 +835,22 @@ class TestPipelinedSolve:
         assert len(calls) == 1
         _assert_serial_bits(surf, prob, EQUIV_GRID)
 
-    def test_control_free_post_regime_stays_in_process(self, forks):
-        prob = merton_problem()
+    def test_control_free_post_regime_forks_once(self, forks):
+        caller, here = os.getpid(), []
+        base = merton_problem()
+
+        def drift_post(t, x, u):
+            if os.getpid() == caller:
+                here.append(t)
+            return base.drift_post(t, x, u)
+
+        prob = dataclasses.replace(base, drift_post=drift_post)
         grid = small_grid(n_x=41, n_t=150)
         surf = solve_system(prob, grid)
-        assert forks == []
+        # the caller takes the first post step, once, and the worker the rest
+        assert here == [prob.horizon]
+        assert len(forks) == 1
+        _assert_no_child()
         _assert_serial_bits(surf, prob, grid)
 
     def test_refused_fork_gives_the_serial_solve(self, monkeypatch):

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import markets
 
-from regimehjb.closedform import FCoefficientVariant, f_closed_form
+from regimehjb.closedform import (FCoefficientVariant, f_closed_form,
+                                  f_ode_coefficients)
 from regimehjb.model import ConfigError, MarketParams
 from regimehjb.odesolve import OdeConfig, solve_f_backward
 
@@ -14,6 +15,29 @@ PAPER = FCoefficientVariant.PAPER
 ACCEPT = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.02, horizon_T=1.0, w0=1.0)
 # strong hazard and excess drift so RK4 truncation error is measurable
 STIFFISH = MarketParams(mu=0.55, sigma=0.2, r=0.3, h=1.5, horizon_T=1.0, w0=1.0)
+
+
+def reference_rk4(params, variant, cfg):
+    """The RK4 loop with its right-hand side as a closure, one call per stage."""
+    k = f_ode_coefficients(params, variant)
+    h, r = params.h, params.r
+
+    def rhs(s, g):
+        return -h * g + k + r + h * r * s
+
+    ds = cfg.stable_step(params)
+    n = cfg.n_intervals(params.horizon_T)
+    values = np.empty(n + 1)
+    values[0] = g = 0.0
+    for i in range(n):
+        s = i * ds
+        k1 = rhs(s, g)
+        k2 = rhs(s + 0.5 * ds, g + 0.5 * ds * k1)
+        k3 = rhs(s + 0.5 * ds, g + 0.5 * ds * k2)
+        k4 = rhs(s + ds, g + ds * k3)
+        g += ds * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        values[i + 1] = g
+    return values[::-1]
 
 
 def max_dev(params, variant, step):
@@ -93,6 +117,21 @@ class TestSolveFBackward:
         assert solve_f_backward(at(2.78e4)).values[0] == pytest.approx(closed, rel=1e-2)
         with pytest.raises(ConfigError, match=r"^ode\.step = 0\.0001 gives RK4 steps"):
             solve_f_backward(at(2.79e4))
+
+    @pytest.mark.parametrize("variant", [DERIVED, PAPER])
+    @pytest.mark.parametrize("params, step", [
+        (ACCEPT, 1e-4),
+        (STIFFISH, 1e-3),
+        (MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.0, horizon_T=1.0, w0=1.0), 1e-3),
+        # h * ds = 2.7, near RK4's stability limit
+        (MarketParams(mu=0.08, sigma=0.2, r=0.3, h=2.7e4, horizon_T=1.0, w0=1.0), 1e-4),
+        (MarketParams(mu=0.1, sigma=0.3, r=0.05, h=0.5, horizon_T=7.3, w0=1.0), 0.0123),
+    ], ids=["accept", "stiffish", "h=0", "h*ds=2.7", "long-horizon"])
+    def test_bitwise_the_closure_loop(self, params, step, variant):
+        cfg = OdeConfig(step=step)
+        curve = solve_f_backward(params, variant, cfg)
+        want = reference_rk4(params, variant, cfg)
+        assert curve.values.tobytes() == want.tobytes()
 
 
 class TestOdeProperties:
