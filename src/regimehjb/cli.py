@@ -1,22 +1,22 @@
 """Batch command-line front door.
 
-Reads a strict JSON problem configuration, dispatches to the analytic,
-ODE, finite-difference and Monte Carlo engines, and writes machine-readable
+Reads a strict JSON problem configuration, dispatches to the analytic, ODE,
+finite-difference and Monte Carlo engines, and writes machine-readable
 reports: JSON for summaries, CSV for tables. Every report embeds the fully
 resolved configuration so a run can be reproduced bit-for-bit from its own
-output. verify calls the same per-route helpers as the single-route
-commands, and every command judges the whole config, including the keys
-only another command reads. Exit codes: 0 all gates pass, 1 gate failure,
-2 configuration error (wherever it is found: the schema, an integer too
-large for a float, a non-finite number, state grid or control node, a CFL
-violation, control nodes outside the bounds, a linear-loss weight pi >= 1,
-a step size that gives no usable node count, an RK4 step past its
-stability limit, a log(w0) outside [x_min, x_max], a state grid with no
-interior window, an array too large to allocate, an output path that
-cannot be written), 3 numerical error
-(a non-finite quantity met during a solve), 4 internal error (a traceback,
-to be reported as a bug; a computed report number that is not finite is
-one, and it writes no report).
+output. A flag (--seed, --variant) is judged as the key it sets. verify
+calls the same per-route helpers as the single-route commands. Every command
+judges the whole config before any work, including the keys only another
+command reads (sweep: its output path too). Exit codes: 0 all gates pass,
+1 gate failure, 2 configuration error (wherever it is found: the schema, an
+integer too large for a float, a non-finite number, state grid or control
+node, a CFL violation, control nodes outside the bounds, a linear-loss
+weight pi >= 1, a step size that gives no usable node count, an RK4 step
+past its stability limit, a log(w0) outside [x_min, x_max], a state grid
+with no interior window, an array too large to allocate, an output path that
+cannot be written), 3 numerical error (a non-finite quantity met during a
+solve), 4 internal error (a traceback, to be reported as a bug; a computed
+report number that is not finite is one, and it writes no report).
 """
 
 from __future__ import annotations
@@ -121,17 +121,18 @@ def _check_object(obj, where: str, keys) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _walk(raw: dict, cfg: dict):
+def _walk(raw: dict, cfg: dict, overrides):
     """Resolve the rows of _SCHEMA into cfg in order, yielding each key once its
-    value (given or default) is in; a section is checked at its first row."""
+    value (overrides["section.key"] or, top level, overrides["key"], else the
+    given value or the default) is in; a section is checked at its first row."""
     for section, key, kind, default in _SCHEMA:
         if section is not None and section not in cfg:
             _check_object(raw.get(section, {}), section,
                      [row[1] for row in _SCHEMA if row[0] == section])
             cfg[section] = {}
         given, out = (raw, cfg) if section is None else (raw.get(section, {}), cfg[section])
-        if key in given:
-            value = given[key]
+        value = overrides.get(f"{section}.{key}" if section else key, given.get(key, _ABSENT))
+        if value is not _ABSENT:
             test, what = _KINDS.get(kind) or (kind.__contains__, f"one of {sorted(kind)}")
             name = f"{section or 'config'}.{key}" if section or kind not in _KINDS else key
             if not test(value):
@@ -156,9 +157,8 @@ def _walk(raw: dict, cfg: dict):
         yield key
 
 
-def resolve_config(raw: dict, seed_override: int | None = None,
-                   variant_override: str | None = None) -> dict:
-    """Validate a raw config dict and materialize every default.
+def resolve_config(raw: dict, overrides=None) -> dict:
+    """Validate a raw config dict and its overrides (see _walk); materialize every default.
 
     The result is itself a valid input config; reports embed it so any run
     can be reproduced from its own output. The rules that tie keys together
@@ -167,13 +167,9 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     """
     _check_object(raw, "config", {row[0] or row[1] for row in _SCHEMA})
     cfg = {}
-    for key in _walk(raw, cfg):
+    for key in _walk(raw, cfg, overrides or {}):
         if key == "w0":
-            _built("market parameters", MarketParams, **cfg["market"])
-        elif key == "variant" and variant_override is not None:
-            if variant_override not in ("paper", "derived"):
-                raise ConfigError("variant must be 'paper' or 'derived'")
-            cfg["variant"] = variant_override
+            market = _built("market parameters", MarketParams, **cfg["market"])
         elif key == "control_bounds":
             lo, hi = cfg["control_bounds"]
             if not lo < hi:
@@ -186,8 +182,6 @@ def resolve_config(raw: dict, seed_override: int | None = None,
             raise ConfigError("give grid.control_nodes or grid.control_step, not both")
         elif key == "control_step" and cfg["grid"].get("control_step", 1.0) <= 0.0:
             raise ConfigError("grid.control_step must be positive")
-        elif key == "antithetic" and seed_override is not None:
-            cfg["mc"]["seed"] = seed_override
         elif key == "pi" and cfg["pi"] is not None:
             DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(cfg["pi"])   # linear: pi < 1
         elif key == "report_times" and not all(
@@ -203,8 +197,8 @@ def resolve_config(raw: dict, seed_override: int | None = None,
                 _intervals(s["pi_hi"] - s["pi_lo"], s["pi_step"], _sweep_where(s))
             DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(s["pi_hi"])  # linear: pi < 1
     # the dataclasses and the node counts check the rest, so every command fails fast
-    grid, _, mc = build_grid(cfg), build_ode(cfg), build_mc(cfg)
-    validate_grid_for(merton_as_generic(build_market(cfg), build_loss(cfg),
+    grid, _, mc = build_grid(cfg), build_ode(cfg, market), build_mc(cfg)
+    validate_grid_for(merton_as_generic(market, build_loss(cfg),
                                         tuple(cfg["control_bounds"])), grid)
     for where, count in (("grid.n_x * (grid.n_t + 1)", grid.n_x * (grid.n_t + 1)),
                          ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size)):
@@ -219,7 +213,7 @@ def resolve_config(raw: dict, seed_override: int | None = None,
     return cfg
 
 
-def load_config(path: str, seed_override=None, variant_override=None) -> dict:
+def load_config(path: str, overrides=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -229,7 +223,7 @@ def load_config(path: str, seed_override=None, variant_override=None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except ValueError as exc:      # bytes that are not UTF-8, an over-long integer
         raise ConfigError(str(exc)) from exc
-    return resolve_config(raw, seed_override, variant_override)
+    return resolve_config(raw, overrides)
 
 
 # --------------------------------------------------------------------------
@@ -282,12 +276,12 @@ def build_variant(cfg: dict) -> FCoefficientVariant:
     return FCoefficientVariant(cfg["variant"])
 
 
-def build_ode(cfg: dict) -> OdeConfig:
+def build_ode(cfg: dict, market: MarketParams) -> OdeConfig:
     # the interval count first: a NaN step is reported naming ode.step
     step, horizon = cfg["ode"]["step"], cfg["market"]["horizon_T"]
     _intervals(horizon, step, f"ode.step = {step!r} over horizon_T = {horizon!r}")
     ode = _built("ode section", OdeConfig, **cfg["ode"])
-    ode.stable_step(build_market(cfg))      # RK4 past its stability limit names ode.step
+    ode.stable_step(market)      # RK4 past its stability limit names ode.step
     return ode
 
 
@@ -342,7 +336,7 @@ def cmd_closed_form(cfg: dict) -> dict:
 
 def _ode_route(cfg: dict, params: MarketParams, variant: FCoefficientVariant):
     """RK4 curve of f, the closed form on its times, and their agreement gate."""
-    curve = solve_f_backward(params, variant, build_ode(cfg))
+    curve = solve_f_backward(params, variant, build_ode(cfg, params))
     closed = f_closed_form(params, curve.times, variant)
     deviation = float(np.max(np.abs(curve.values - closed)))
     return curve, closed, _gate("ode_vs_closed", deviation, TOL_ODE_VS_CLOSED)
@@ -533,14 +527,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, seed_override=args.seed,
-                          variant_override=args.variant)
-        report = _COMMANDS[args.command](cfg)
+        flags = {"mc.seed": args.seed, "variant": args.variant}
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         out = args.out or cfg["output_path"]
+        if args.command == "sweep" and not out:     # before the sweep draws
+            raise ConfigError("sweep needs --out or output_path for its CSV")
+        report = _COMMANDS[args.command](cfg)
         table = report if args.command == "sweep" else None
         if table is not None:
-            if not out:
-                raise ConfigError("sweep needs --out or output_path for its CSV")
             # the rows go to the CSV, the rest of the report to stdout
             report = {k: v for k, v in table.items() if k != "rows"}
         text = render_report(report)    # before any file is opened: it can fail

@@ -134,21 +134,18 @@ def expected_log_utility_exact(params: MarketParams, pi,
             + int_0^T h exp(-h tau) (alpha tau + L + r (T - tau)) dtau,
 
     which collapses to  log w0 + r T + (1 - exp(-h T)) ((alpha - r)/h + L).
-    h = 0 returns log w0 + alpha T. Where (alpha - r)/h overflows, h is so
-    small that the h -> 0 limit log w0 + alpha T + (1 - exp(-h T)) L is exact
-    to rounding. Accepts scalar or array pi.
+    Where (alpha - r)/h overflows, h is so small that the h -> 0 limit
+    log w0 + alpha T + (1 - exp(-h T)) L is exact to rounding (at h = 0 the
+    weight 1 - exp(-h T) is 0). Accepts scalar or array pi.
     """
     pi_arr = np.asarray(pi, dtype=float)
     drop = loss.log_wealth_drop(pi_arr)
     alpha = np.asarray(policy_log_drift(params, pi_arr))
     log_w0 = math.log(params.w0)
     T = params.horizon_T
-    if params.h == 0.0:
-        out = log_w0 + alpha * T
-    else:
-        weight = -math.expm1(-params.h * T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = (alpha - params.r) / params.h
-            exact = log_w0 + params.r * T + weight * (ratio + drop)
-        out = np.where(np.isfinite(ratio), exact, log_w0 + alpha * T + weight * drop)
+    weight = -math.expm1(-params.h * T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = (alpha - params.r) / params.h
+        exact = log_w0 + params.r * T + weight * (ratio + drop)
+    out = np.where(np.isfinite(ratio), exact, log_w0 + alpha * T + weight * drop)
     return float(out) if out.ndim == 0 else out

@@ -92,8 +92,8 @@ class GridSpec:
             raise ValueError("x_min must be below x_max")
         if not math.isfinite(self.x_max - self.x_min):    # and so is dx
             raise ValueError("x_min, x_max and x_max - x_min must be finite")
-        if self.n_x < 3:
-            raise ValueError("need at least 3 state nodes")
+        if not 3 <= self.n_x <= sys.float_info.max:     # dx divides by n_x - 1 as a float
+            raise ValueError("need at least 3 state nodes, and an n_x that a float holds")
         if not 0.0 < self.dx * self.dx < math.inf:       # the scheme divides by dx^2
             raise ValueError(f"x_min, x_max and n_x give a node spacing dx={self.dx!r} "
                              "whose square is not a finite positive float")

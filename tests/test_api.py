@@ -4,11 +4,10 @@ from regimehjb.hjb import CflViolationError
 
 # the public API: it may shrink, never grow
 PUBLIC_API = {
-    "CflViolationError", "DefaultLossModel", "FCoefficientVariant", "FCurve", "GridSpec",
-    "MarketParams", "McConfig", "McEstimate", "NumericalError", "OdeConfig",
-    "RegimeControlProblem", "ValueSurface", "estimate", "expected_log_utility_exact",
-    "f_closed_form", "merton_as_generic", "optimal_weight", "solve_f_backward",
-    "solve_system", "sweep",
+    "CflViolationError", "DefaultLossModel", "FCoefficientVariant", "GridSpec",
+    "MarketParams", "McConfig", "NumericalError", "OdeConfig", "RegimeControlProblem",
+    "estimate", "expected_log_utility_exact", "f_closed_form", "merton_as_generic",
+    "optimal_weight", "solve_f_backward", "solve_system", "sweep",
 }
 
 

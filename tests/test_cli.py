@@ -1,8 +1,14 @@
+import contextlib
 import copy
+import io
 import json
+import math
+import mmap
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,10 +95,19 @@ class TestConfigLoading:
         assert again == resolved
 
     def test_overrides(self):
-        resolved = cli.resolve_config(base_config(), seed_override=7,
-                                      variant_override="paper")
+        resolved = cli.resolve_config(base_config(), {"mc.seed": 7, "variant": "paper"})
         assert resolved["mc"]["seed"] == 7
         assert resolved["variant"] == "paper"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mc.seed": 1.5}, "mc.seed must be an integer"),
+        ({"mc.seed": True}, "mc.seed must be an integer"),
+        ({"variant": "neither"}, "config.variant must be one of ['derived', 'paper']"),
+    ])
+    def test_overrides_are_judged_as_the_keys_they_set(self, overrides, message):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.resolve_config(base_config(), overrides)
+        assert str(exc.value) == message
 
     def test_control_nodes_and_step_are_exclusive(self):
         cfg = base_config()
@@ -205,9 +220,38 @@ class TestCommandLine:
         assert r1["value_exact"] == r2["value_exact"]
         assert r1["f0_hjb"] == r2["f0_hjb"]
 
-    def test_missing_config_file_is_config_error(self, capsys):
-        assert cli.main(["verify", "--config", "/no/such/file.json"]) == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file: [Errno 2] No such file or directory"),
+        (b'{"market": ', "config is not valid JSON: Expecting value: line 1 column 12"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"mc": {"seed": 1' + b"0" * 5000 + b"}}", "Exceeds the limit (4300 digits)"),
+    ], ids=["missing", "invalid-json", "not-utf-8", "over-long-integer"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"configuration error: {message}")
+
+    @pytest.mark.parametrize("flag, value, over", [
+        ("--seed", 7, {"mc": {"seed": "x"}}),
+        ("--variant", "paper", {"variant": "neither"}),
+    ])
+    def test_a_flag_replaces_an_invalid_file_value(self, tmp_path, capsys, flag, value,
+                                                   over):
+        path = write_config(tmp_path, base_config(**over))
+        assert cli.main(["closed-form", "--config", path, flag, str(value)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["mc"]["seed"] if flag == "--seed" else config["variant"]) == value
+
+    def test_a_flag_is_judged_as_the_key_it_sets(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert cli.main(["closed-form", "--config", path, "--seed", "-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: invalid mc section: "
+                "seed must fit an unsigned 64-bit integer\n")
 
     def test_cfl_violation_is_config_error_naming_n_t(self, tmp_path, capsys):
         cfg = base_config()
@@ -391,10 +435,15 @@ class TestSweepCommand:
             columns.append([ln.split(",")[3] for ln in rows])
         assert columns[0] == columns[1]
 
-    def test_sweep_requires_output_path(self, tmp_path, capsys):
+    def test_sweep_requires_output_path(self, tmp_path, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", sweep)    # the fault is found before it draws
         path = write_config(tmp_path, base_config())
         assert cli.main(["sweep", "--config", path]) == 2
-        assert "sweep" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "configuration error: sweep needs --out or output_path for its CSV\n")
 
 
 GRID = base_config()["grid"]
@@ -420,6 +469,7 @@ class TestUnusableSteps:
         # counts numpy cannot hold in one array, rejected before any allocation
         ("closed-form", {"grid": dict(GRID, control_step=1e-18)}, "grid.control_step"),
         ("hjb-solve", {"grid": dict(GRID, n_x=2 ** 62)}, "grid.n_x"),
+        ("hjb-solve", {"grid": dict(GRID, n_x=10 ** 400)}, "an n_x that a float holds"),
         ("hjb-solve", {"grid": dict(GRID, n_t=2 ** 58)}, "grid.n_t"),
         ("hjb-solve", {"grid": dict(GRID, n_x=2 ** 50, n_t=1, control_step=1e-4)},
          "control nodes"),
@@ -491,18 +541,22 @@ class TestErrorContract:
         assert captured.err.startswith("Traceback (most recent call last):")
         assert type(exc).__name__ in captured.err and "configuration error" not in captured.err
 
-    @pytest.mark.parametrize("exc, message", [
-        (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
-        (MemoryError(), "out of memory"),
-    ])
+    @pytest.mark.parametrize("command, target, exc, message", [
+        ("ode-check", (cli, "solve_f_backward"), MemoryError("Unable to allocate 8.00 EiB"),
+         "Unable to allocate 8.00 EiB"),
+        ("ode-check", (cli, "solve_f_backward"), MemoryError(), "out of memory"),
+        # the shared map of the forked post march cannot be made
+        ("hjb-solve", (mmap, "mmap"), OSError(12, "Cannot allocate memory"),
+         "cannot map a post-switch surface of shape (501, 101)"),
+    ], ids=["message", "bare", "post-map"])
     def test_memory_error_is_a_configuration_error(self, tmp_path, capsys, monkeypatch,
-                                                   exc, message):
+                                                   command, target, exc, message):
         def broken(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "solve_f_backward", broken)
+        monkeypatch.setattr(*target, broken)
         path = write_config(tmp_path, base_config())
-        assert cli.main(["ode-check", "--config", path]) == 2
+        assert cli.main([command, "--config", path]) == 2
         assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
     @pytest.mark.parametrize("via", ["--out", "output_path"])
@@ -581,6 +635,9 @@ class TestEveryCommandJudgesTheWholeConfig:
         # each of these once meant one RK4 step, the control 0 and a one-row sweep
         ({"ode": {"step": INF}}, "ode.step must be a finite number"),
         ({"grid": dict(GRID, control_step=INF)}, "grid.control_step must be a finite number"),
+        ({"ode": {"step": -1e-4}}, "ode.step must be positive"),
+        ({"grid": dict(GRID, control_step=0.0)}, "grid.control_step must be positive"),
+        ({"report_times": [0.0, 1.5]}, "report_times must lie inside [0, horizon_T]"),
         ({"sweep": {"pi_step": INF}}, "sweep.pi_step must be a finite number"),
         *(({"sweep": {key: float("nan")}}, f"sweep.{key} must be a finite number")
           for key in ("pi_lo", "pi_hi", "pi_step")),
@@ -695,3 +752,136 @@ def test_resolve_config_returns_a_fixed_point_or_raises_config_error(raw):
         return
     # rendered, so that a NaN compares equal to itself
     assert cli.render_report(cli.resolve_config(copy.deepcopy(cfg))) == cli.render_report(cfg)
+
+
+# --------------------------------------------------------------------------
+# every accepted or refused config ends in a classified exit
+# --------------------------------------------------------------------------
+
+def _log_uniform(lo, hi):
+    """10**e for e in [lo, hi]: an integer part, then a fraction, so that every
+    decade is drawn about as often."""
+    return st.tuples(st.integers(lo, hi - 1), st.floats(0, 1)).map(
+        lambda p: 10.0 ** (p[0] + p[1]))
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda p: p[0] * p[1])
+
+
+# a value of a drawn key, by (section, key); sizes stay small: n_x <= 41,
+# n_t <= 3000, n_paths <= 1000, at most about 80 sweep policies or control
+# nodes, and 1e5 RK4 steps
+_RANGED = {
+    ("market", "mu"): _signed(_log_uniform(-6, 6)),
+    ("market", "sigma"): _log_uniform(-320, 200),
+    ("market", "r"): _signed(_log_uniform(-6, 6)),
+    ("market", "h"): st.one_of(st.just(0.0), _log_uniform(-8, 8)),
+    ("market", "horizon_T"): _log_uniform(-3, 1),
+    ("market", "w0"): _log_uniform(-300, 300),
+    (None, "loss_mode"): st.sampled_from(["exponential", "linear"]),
+    (None, "variant"): st.sampled_from(["paper", "derived"]),
+    (None, "control_bounds"): st.tuples(st.sampled_from([0.0, -1.0, 0.5]),
+                                        st.sampled_from([0.9, 0.99, 1.0, 3.0, INF])).map(list),
+    ("ode", "step"): _log_uniform(-4, 0),
+    ("ode", "method"): st.just("rk4"),
+    ("grid", "x_min"): _signed(_log_uniform(-1, 1)),
+    ("grid", "x_max"): _signed(_log_uniform(-1, 1)),
+    ("grid", "n_x"): st.integers(1, 41),
+    ("grid", "n_t"): st.floats(0, 3.4).map(lambda e: int(10 ** e)),
+    ("grid", "control_nodes"): st.lists(st.floats(-0.5, 3.5), min_size=1, max_size=4),
+    ("grid", "control_step"): st.floats(0.05, 3.0),
+    ("mc", "n_paths"): st.integers(1, 1000),
+    ("mc", "seed"): st.integers(0, 2 ** 64 - 1),
+    ("mc", "antithetic"): st.booleans(),
+    (None, "report_times"): st.lists(st.floats(-0.1, 11.0), min_size=1, max_size=3),
+    (None, "pi"): st.one_of(st.none(), st.floats(-0.5, 3.5)),
+    ("sweep", "pi_lo"): st.floats(-0.5, 3.0),
+    ("sweep", "pi_hi"): st.floats(0.0, 3.5),
+    ("sweep", "pi_step"): st.floats(0.05, 3.0),
+    # a name under the run's own directory, or in a directory that is missing
+    (None, "output_path"): st.sampled_from(["report.out", "missing/report.out"]),
+}
+# another type, a special number, an integer too large for a float
+_ODD = st.sampled_from([None, "x", True, [], {}, -1, 0, 2 ** 70, 10 ** 400, 1e-320,
+                        float("nan"), INF, -INF])
+
+
+@st.composite
+def _raw_cli_runs(draw):
+    """A small config (ode.step 0.01, x in [-4, 4], n_x 21, n_t 100, 500 paths)
+    whose market keys are each the acceptance value or one of wide magnitude,
+    with up to three of _SCHEMA's keys changed: each left out (a size: kept),
+    given a value in its range or given an odd one; plus optional flags."""
+    raw = {"market": {key: draw(st.one_of(st.just(value), _RANGED["market", key]))
+                      for key, value in ACCEPT_MARKET.items()},
+           "ode": {"step": 0.01}, "grid": {"x_min": -4.0, "x_max": 4.0, "n_x": 21, "n_t": 100},
+           "mc": {"n_paths": 500}}
+    keys = st.sampled_from([row[:2] for row in cli._SCHEMA])
+    for section, key in draw(st.lists(keys, max_size=3, unique=True)):
+        target = raw if section is None else raw.setdefault(section, {})
+        how = draw(st.sampled_from(["ranged", "ranged", "odd", "left out"]))
+        if how == "left out" and key not in ("n_x", "n_t", "n_paths"):
+            target.pop(key, None)
+        elif how != "left out":
+            target[key] = draw(_RANGED[section, key] if how == "ranged" else _ODD)
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.sampled_from([-1, 0, 7, 2 ** 64 - 1, 2 ** 64])))]
+    if draw(st.booleans()):
+        flags += ["--variant", draw(st.sampled_from(["paper", "derived"]))]
+    return raw, flags
+
+
+def _parse_report(text):
+    """json.loads refusing NaN anywhere and +-Infinity outside the echoed config."""
+    def constant(token):
+        if token == "NaN":
+            raise ValueError("a report holds NaN")
+        return float(token)
+
+    report = json.loads(text, parse_constant=constant)
+    json.dumps({k: v for k, v in report.items() if k != "config"}, allow_nan=False)
+    return report
+
+
+@settings(max_examples=150)
+@given(run=_raw_cli_runs())
+def test_every_command_ends_in_a_classified_exit(run):
+    """0, 1, 2 or 3 with strict JSON reports: exit 0 or 1 leaves stderr
+    empty, 2 or 3 prints one line, and the only warning allowed is the
+    hazard*dt one. hjb-solve's x0 is the node nearest log w0."""
+    raw, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(raw.get("output_path"), str):
+            raw["output_path"] = os.path.join(tmp, raw["output_path"])
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        for command in cli._COMMANDS:
+            out = os.path.join(tmp, "sweep.csv") if command == "sweep" else None
+            argv = [command, "--config", path, *flags] + (["--out", out] if out else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            stray = [w for w in caught if not (w.category is RuntimeWarning
+                                               and str(w.message).startswith("hazard*dt"))]
+            assert not stray, (command, [str(w.message) for w in stray])
+            assert code in (0, 1, 2, 3), (command, stderr.getvalue())
+            if code >= 2:
+                assert stdout.getvalue() == "" and len(stderr.getvalue().splitlines()) == 1
+                continue
+            assert stderr.getvalue() == ""
+            text = stdout.getvalue()
+            if command != "sweep" and raw.get("output_path"):    # the report went there
+                assert text == ""
+                with open(raw["output_path"], encoding="utf-8") as fh:
+                    text = fh.read()
+            report = _parse_report(text)
+            if command == "hjb-solve":
+                g = report["config"]["grid"]
+                dx = (g["x_max"] - g["x_min"]) / (g["n_x"] - 1)
+                x0 = math.log(report["config"]["market"]["w0"])
+                assert abs(report["x0"] - x0) <= 0.5 * dx * (1 + 1e-9) + 1e-12 * abs(x0)

@@ -301,6 +301,18 @@ class TestClosedFormProperties:
         bound = h * s * (2.0 * abs(m) + h) / (2.0 * params.sigma ** 2) + 0.5 * k0 * h * s * s
         assert abs(fh - f0) <= bound + 1e-12 * (1.0 + abs(f0))
 
+    @given(params=markets, loss=losses,
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_oracle_at_zero_hazard_is_log_w0_plus_the_drift_bitwise(self, params, loss,
+                                                                     fracs):
+        p0 = dataclasses.replace(params, h=0.0)
+        pis = np.array([-0.0] + [policy(loss, frac) for frac in fracs])
+        want = math.log(p0.w0) + policy_log_drift(p0, pis) * p0.horizon_T
+        assert expected_log_utility_exact(p0, pis, loss).tobytes() == want.tobytes()
+        for pi, value in zip(pis, want):
+            got = expected_log_utility_exact(p0, float(pi), loss)
+            assert type(got) is float and np.float64(got).tobytes() == value.tobytes()
+
     @given(params=markets, loss=losses, frac=st.floats(0.0, 1.0), h=small_hazards)
     def test_oracle_is_continuous_as_h_goes_to_zero(self, params, loss, frac, h):
         pi = policy(loss, frac)

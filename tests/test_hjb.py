@@ -42,6 +42,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("kw", [
         dict(x_min=1.0, x_max=1.0),
         dict(n_x=2),
+        dict(n_x=10 ** 400),                # n_x - 1 is beyond a float
         dict(n_t=0),
         dict(control_nodes=np.array([])),
         dict(control_nodes=np.array([0.5, 0.5])),
@@ -296,6 +297,9 @@ class TestSolveSystem:
         assert np.isin(surf.policy, NODES).all()
         with pytest.raises(ValueError):
             surf.v_pre[0, 0] = 1.0  # read-only
+        with pytest.raises(ValueError, match=r"^policy must have shape \(201, 101\)$"):
+            ValueSurface(v_pre=surf.v_pre, v_after=surf.v_after, policy=surf.policy[1:],
+                         grid=surf.grid)
 
     def test_decoupled_at_zero_hazard_bitwise(self):
         p0 = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=0.0, horizon_T=1.0, w0=1.0)
@@ -383,6 +387,14 @@ class TestStepGuards:
     def test_non_finite_coefficient_raises(self, field, bad):
         prob = dataclasses.replace(merton_problem(), **{field: bad})
         with pytest.raises(NumericalError):
+            solve_system(prob, small_grid())
+
+    def test_coefficient_that_does_not_broadcast_to_the_mesh_raises(self):
+        # (2, 1, 1) broadcasts with the mesh, but to a shape of its own
+        prob = dataclasses.replace(merton_problem(),
+                                   drift_pre=lambda t, x, u: np.full((2, 1, 1), 0.02))
+        with pytest.raises(ValueError, match=r"^coefficient of shape \(2, 1, 1\) does not "
+                                             r"broadcast to the \(state, control\) mesh"):
             solve_system(prob, small_grid())
 
     def test_overflowing_post_surface_is_labelled_post(self):

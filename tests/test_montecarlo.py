@@ -823,6 +823,25 @@ class TestInThreads:
         with pytest.raises(KeyError, match="helper"):
             _in_threads([lambda: None, fail], threading.Event())
 
+    def test_a_thread_that_cannot_start_is_raised_after_the_started_ones_join(
+            self, monkeypatch):
+        ran, real_start = [], threading.Thread.start
+
+        def start(thread):
+            if ran:                  # the second helper: no thread to spare
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+            thread.join(10)          # its task is done before the caller goes on
+            assert ran
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _in_threads([lambda: ran.append(0), lambda: ran.append(1),
+                         lambda: ran.append(2)], threading.Event())
+        # the caller's own task never ran; the started helper was joined
+        assert ran == [1] and set(threading.enumerate()) == before
+
     def test_an_interrupted_wait_stops_and_joins_every_task(self):
         # Ctrl-C while the caller waits for a helper's task: the helper is
         # told to stop and is joined before the interrupt is raised
