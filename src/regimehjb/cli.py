@@ -174,16 +174,13 @@ def resolve_config(raw: dict, overrides=None) -> dict:
             lo, hi = cfg["control_bounds"]
             if not lo < hi:
                 raise ConfigError("control_bounds must satisfy u_lo < u_hi")
-            if cfg["loss_mode"] == "linear" and hi >= 1.0:
-                raise ConfigError("linear loss requires u_hi < 1")
-        elif key == "method" and cfg["ode"]["step"] <= 0.0:
-            raise ConfigError("ode.step must be positive")
+            build_loss(cfg).log_wealth_drop(hi)     # linear: pi < 1
         elif key == "n_t" and {"control_nodes", "control_step"} <= raw.get("grid", {}).keys():
             raise ConfigError("give grid.control_nodes or grid.control_step, not both")
         elif key == "control_step" and cfg["grid"].get("control_step", 1.0) <= 0.0:
             raise ConfigError("grid.control_step must be positive")
         elif key == "pi" and cfg["pi"] is not None:
-            DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(cfg["pi"])   # linear: pi < 1
+            build_loss(cfg).log_wealth_drop(cfg["pi"])      # linear: pi < 1
         elif key == "report_times" and not all(
                 0.0 <= t <= cfg["market"]["horizon_T"] for t in cfg["report_times"]):
             raise ConfigError("report_times must lie inside [0, horizon_T]")
@@ -195,7 +192,7 @@ def resolve_config(raw: dict, overrides=None) -> dict:
             # bound, which the other commands accept with explicit control nodes
             if math.isfinite(s["pi_lo"]) and math.isfinite(s["pi_hi"]):
                 _intervals(s["pi_hi"] - s["pi_lo"], s["pi_step"], _sweep_where(s))
-            DefaultLossModel(cfg["loss_mode"]).log_wealth_drop(s["pi_hi"])  # linear: pi < 1
+            build_loss(cfg).log_wealth_drop(s["pi_hi"])     # linear: pi < 1
     # the dataclasses and the node counts check the rest, so every command fails fast
     grid, _, mc = build_grid(cfg), build_ode(cfg, market), build_mc(cfg)
     validate_grid_for(merton_as_generic(market, build_loss(cfg),
@@ -210,6 +207,7 @@ def resolve_config(raw: dict, overrides=None) -> dict:
     if not grid.x_min <= x0 <= grid.x_max:
         raise ConfigError(f"log(market.w0) = {x0!r} lies outside [grid.x_min, grid.x_max] "
                           f"= [{grid.x_min!r}, {grid.x_max!r}]")
+    interior_nodes_mask(grid, build_loss(cfg), grid.control_nodes)  # builds x_nodes: after caps
     return cfg
 
 
@@ -277,10 +275,9 @@ def build_variant(cfg: dict) -> FCoefficientVariant:
 
 
 def build_ode(cfg: dict, market: MarketParams) -> OdeConfig:
-    # the interval count first: a NaN step is reported naming ode.step
-    step, horizon = cfg["ode"]["step"], cfg["market"]["horizon_T"]
+    ode = _built("ode section", OdeConfig, **cfg["ode"])     # refuses a step <= 0
+    step, horizon = ode.step, market.horizon_T
     _intervals(horizon, step, f"ode.step = {step!r} over horizon_T = {horizon!r}")
-    ode = _built("ode section", OdeConfig, **cfg["ode"])
     ode.stable_step(market)      # RK4 past its stability limit names ode.step
     return ode
 

@@ -33,7 +33,7 @@ must be pure, may run there too, more than once per step time. The
 surfaces are bitwise those of solve_after followed by solve_pre; whenever
 this path does not run to its end (no process to fork, a lost child, an
 error in the caller's pre march), the child is killed and reaped and
-solve_system runs those two, with their errors and hazard*dt warning.
+solve_system runs those two, with their errors; a finished pre march warns.
 """
 
 from __future__ import annotations
@@ -367,17 +367,6 @@ def pre_hamiltonian(problem: RegimeControlProblem, grid: GridSpec, t: float,
     return _full_mesh(_Kernel(problem, grid, "pre")(t, v_pre_row, v_after_row)[0], grid)
 
 
-def _warn_coarse_hazard(problem: RegimeControlProblem, grid: GridSpec) -> None:
-    """Warn, just before a pre march would step, that hazard * dt is coarse."""
-    hazard_dt = problem.hazard * grid.dt(problem.horizon)
-    if hazard_dt > HAZARD_DT_WARN:
-        warnings.warn(
-            f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
-            "switch probability is too coarse for the explicit coupling",
-            RuntimeWarning,
-        )
-
-
 def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = None,
            out: np.ndarray = None, handoff=None):
     """Backward explicit steps v[i] = v[i+1] + dt * min_u H, H read at t[i+1].
@@ -385,7 +374,7 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
     Returns (v, policy); policy is None for the post regime, called without
     v_after. v is written into out when it is given. handoff(i, kernel), when
     given, runs once row i is stepped and checked; the march stops there if it
-    returns True.
+    returns True. A pre march that finishes warns if hazard * dt is coarse.
     """
     regime = "post" if v_after is None else "pre"
     kernel = _Kernel(problem, grid, regime)
@@ -407,6 +396,11 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
     if policy is not None:
         # the terminal row's Hamiltonian is the one the first step minimized
         policy[-1] = policy[-2]
+        hazard_dt = problem.hazard * kernel.dt
+        if hazard_dt > HAZARD_DT_WARN:
+            warnings.warn(f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
+                          "switch probability is too coarse for the explicit coupling",
+                          RuntimeWarning)
     return v, policy
 
 
@@ -553,7 +547,8 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     Returns (v_pre, policy); policy[i] holds the per-node minimizing
     control chosen while stepping onto row i (argmin ties resolve to the
     smallest control), and the terminal row's policy is the minimizer of
-    the Hamiltonian evaluated on the terminal data itself.
+    the Hamiltonian evaluated on the terminal data itself. A march that ends
+    warns if hazard * dt > HAZARD_DT_WARN; one that fails raises, unwarned.
     """
     validate_grid_for(problem, grid)
     v_after = np.asarray(v_after, dtype=float)
@@ -563,7 +558,6 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     # RuntimeWarning; min and max need no mesh-sized temporary
     if not (math.isfinite(v_after.min()) and math.isfinite(v_after.max())):
         raise NumericalError("v_after is not finite")
-    _warn_coarse_hazard(problem, grid)
     return _march(problem, grid, v_after)
 
 
@@ -590,6 +584,4 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     if v_pre is None:
         v_after = solve_after(problem, grid)
         v_pre, policy = solve_pre(problem, v_after, grid)
-    else:                             # every post row arrived: the post solved
-        _warn_coarse_hazard(problem, grid)
     return ValueSurface(v_pre=v_pre, v_after=v_after, policy=policy, grid=grid)

@@ -164,9 +164,9 @@ def merton_as_generic(params: MarketParams,
     the post-default regime is riskless growth dx = r dt, and default
     shifts x by the loss model's log drop. The objective is posed as a
     minimization of -x_T (equivalently, maximize expected log wealth).
+    The loss model judges u_hi: linear loss with u_hi >= 1 is a ConfigError.
     """
-    if loss is DefaultLossModel.LINEAR and control_bounds[1] >= 1.0:
-        raise ValueError("linear loss requires u_hi < 1")
+    loss.log_wealth_drop(control_bounds[1])
 
     mu, sigma, r = params.mu, params.sigma, params.r
 
@@ -176,20 +176,13 @@ def merton_as_generic(params: MarketParams,
     def vol_pre(t, x, u):
         return u * sigma
 
-    if loss is DefaultLossModel.EXPONENTIAL:
-        def jump_map(t, x, u):
-            return x - u
-    else:
-        def jump_map(t, x, u):
-            return x + np.log1p(-u)
-
     return RegimeControlProblem(
         drift_pre=drift_pre,
         vol_pre=vol_pre,
         drift_post=lambda t, x, u: r,
         vol_post=lambda t, x, u: 0.0,
         hazard=params.h,
-        jump_map=jump_map,
+        jump_map=lambda t, x, u: x + loss.log_wealth_drop(u),
         running_cost=lambda t, x, u: 0.0,
         terminal_cost=lambda x: -x,
         control_bounds=control_bounds,

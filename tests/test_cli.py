@@ -117,9 +117,11 @@ class TestConfigLoading:
             cli.resolve_config(cfg)
 
     def test_linear_loss_needs_sub_unit_bounds(self):
+        # the loss model's own rule and message, as for a config's pi
         cfg = base_config(loss_mode="linear")
-        with pytest.raises(cli.ConfigError, match="u_hi < 1"):
+        with pytest.raises(cli.ConfigError) as err:
             cli.resolve_config(cfg)
+        assert str(err.value) == LINEAR_LOSS_PI
         cfg["control_bounds"] = [0.0, 0.9]
         cli.resolve_config(cfg)
 
@@ -338,25 +340,26 @@ class TestCommandLine:
         assert run.stderr == "numerical error: vol is not finite for the pre regime at t=1\n"
 
     @pytest.mark.parametrize("command", ["hjb-solve", "verify"])
-    def test_coarse_hazard_step_warns_then_breaks_the_stability_bound(self, tmp_path,
-                                                                      command):
+    def test_coarse_hazard_step_breaking_the_stability_bound_exits_2_unwarned(
+            self, tmp_path, command):
         cfg = base_config()
         cfg["market"]["h"] = 5000.0        # h dt = 5: the explicit update is not monotone
         cfg["grid"]["n_t"] = 1000
         path = write_config(tmp_path, cfg)
         run = run_cli_warnings_as_errors(command, "--config", path, allow="hazard*dt")
         assert (run.returncode, run.stdout) == (2, "")
-        warned = [line for line in run.stderr.splitlines() if "Warning: " in line]
-        assert len(warned) == 1 and "RuntimeWarning: hazard*dt = 5 > 0.1" in warned[0]
+        # one line and no hazard*dt warning: only a pre march that finishes warns.
         # T (|drift|/dx + vol^2/dx^2 + h) at the largest control, 3
-        assert run.stderr.endswith("\nconfiguration error: CFL violation for the pre regime "
-                                   "at t=1: dt=1.000e-03 exceeds 1/(max|drift|/dx + "
-                                   "max(vol^2)/dx^2 + hazard)=1.977e-04; "
-                                   "need n_t >= 5058\n")
+        assert run.stderr == ("configuration error: CFL violation for the pre regime "
+                              "at t=1: dt=1.000e-03 exceeds 1/(max|drift|/dx + "
+                              "max(vol^2)/dx^2 + hazard)=1.977e-04; "
+                              "need n_t >= 5058\n")
         cfg["grid"]["n_t"] = 5058
         path = write_config(tmp_path, cfg)
         run = run_cli_warnings_as_errors(command, "--config", path, allow="hazard*dt")
         assert "CFL" not in run.stderr and run.returncode in (0, 1)
+        warned = [line for line in run.stderr.splitlines() if "Warning: " in line]
+        assert len(warned) == 1 and "RuntimeWarning: hazard*dt = 0.989 > 0.1" in warned[0]
 
     def test_courant_number_above_one_is_a_cfl_violation(self, tmp_path):
         # mu = r = 10: the drift alone moves r dt / dx = 5 cells a step, and
@@ -635,7 +638,7 @@ class TestEveryCommandJudgesTheWholeConfig:
         # each of these once meant one RK4 step, the control 0 and a one-row sweep
         ({"ode": {"step": INF}}, "ode.step must be a finite number"),
         ({"grid": dict(GRID, control_step=INF)}, "grid.control_step must be a finite number"),
-        ({"ode": {"step": -1e-4}}, "ode.step must be positive"),
+        ({"ode": {"step": -1e-4}}, "invalid ode section: step must be positive"),
         ({"grid": dict(GRID, control_step=0.0)}, "grid.control_step must be positive"),
         ({"report_times": [0.0, 1.5]}, "report_times must lie inside [0, horizon_T]"),
         ({"sweep": {"pi_step": INF}}, "sweep.pi_step must be a finite number"),
@@ -658,6 +661,11 @@ class TestEveryCommandJudgesTheWholeConfig:
         ({"market": dict(ACCEPT_MARKET, w0=1e3), "grid": dict(GRID, x_min=-4.0, x_max=4.0)},
          "log(market.w0) = 6.907755278982137 lies outside [grid.x_min, grid.x_max] "
          "= [-4.0, 4.0]"),
+        # a zero step is refused before the interval count divides by it
+        ({"ode": {"step": 0.0}}, "invalid ode section: step must be positive"),
+        # narrower than the largest jump, 3, plus its buffer: no interior window
+        ({"grid": dict(GRID, x_min=-2.0, x_max=2.0)},
+         "no node of [x_min, x_max] lies 4.5 above x_min and 0.5 below x_max"),
     ])
     def test_exit_2_from_every_command(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, base_config(**over))
@@ -850,7 +858,7 @@ def _parse_report(text):
 def test_every_command_ends_in_a_classified_exit(run):
     """0, 1, 2 or 3 with strict JSON reports: exit 0 or 1 leaves stderr
     empty, 2 or 3 prints one line, and the only warning allowed is the
-    hazard*dt one. hjb-solve's x0 is the node nearest log w0."""
+    hazard*dt one, on exit 0 or 1. hjb-solve's x0 is the node nearest log w0."""
     raw, flags = run
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(raw.get("output_path"), str):
@@ -866,7 +874,8 @@ def test_every_command_ends_in_a_classified_exit(run):
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("always")
                 code = cli.main(argv)
-            stray = [w for w in caught if not (w.category is RuntimeWarning
+            stray = [w for w in caught if not (code in (0, 1)
+                                               and w.category is RuntimeWarning
                                                and str(w.message).startswith("hazard*dt"))]
             assert not stray, (command, [str(w.message) for w in stray])
             assert code in (0, 1, 2, 3), (command, stderr.getvalue())

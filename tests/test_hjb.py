@@ -787,14 +787,15 @@ class TestPipelinedSolve:
         _assert_no_child()
 
     def test_coarse_hazard_warning_comes_once_the_post_regime_solved(self, forks):
-        # hazard * dt = 0.125 > HAZARD_DT_WARN: the serial order warns just
-        # before the pre march, so not at all when the post march fails. The
+        # hazard * dt = 0.125 > HAZARD_DT_WARN: the pre march warns once it
+        # finishes, so once, and not at all when the post march fails. The
         # grid is finer than EQUIV_GRID, where hazard 20 would break the
         # stability bound (0.36/dx^2 + 20 > n_t = 160)
         grid = dataclasses.replace(EQUIV_GRID, n_t=200)
         base = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=25.0)
-        with pytest.warns(RuntimeWarning, match="hazard"):
+        with pytest.warns(RuntimeWarning, match="hazard") as seen:
             solve_system(base, grid)
+        assert len(seen) == 1
         failing = dataclasses.replace(base, drift_post=lambda t, x, u: np.where(
             t < 0.5, np.nan, base.drift_post(t, x, u)))
         with warnings.catch_warnings(record=True) as seen:
@@ -803,6 +804,24 @@ class TestPipelinedSolve:
                 solve_system(failing, grid)
         assert not [w for w in seen if "hazard" in str(w.message)]
         assert len(forks) == 2
+
+    def test_a_failing_pre_march_gives_no_hazard_warning(self, forks):
+        # hazard * dt = 0.125 as above; the pre march fails below t = 0.5,
+        # alone and beside the worker, before it could warn
+        grid = dataclasses.replace(EQUIV_GRID, n_t=200)
+        base = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=25.0)
+        prob = dataclasses.replace(base, drift_pre=lambda t, x, u: np.where(
+            t < 0.5, np.nan, base.drift_pre(t, x, u)))
+        v_after = solve_after(prob, grid)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="^the pre surface is not finite"):
+                solve_pre(prob, v_after, grid)
+            with pytest.raises(NumericalError, match="^the pre surface is not finite"):
+                solve_system(prob, grid)
+        assert not [w for w in seen if "hazard" in str(w.message)]
+        assert len(forks) == 1
+        _assert_no_child()
 
     def test_assertion_in_the_worker_reaches_the_caller(self, forks):
         base = generic_problem(lambda t, x, u: x - u)

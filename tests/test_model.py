@@ -60,6 +60,11 @@ class TestDefaultLossModel:
             DefaultLossModel.LINEAR.log_wealth_drop(np.array([0.2, 1.3]))
 
 
+# states and controls with both signed zeros, as a (state, control) mesh
+SIGNED_MESH = (np.array([0.0, -0.0, 1e-300, -2.5, 3.75])[:, None],
+               np.array([0.0, -0.0, 0.3, -0.7, 0.9])[None, :])
+
+
 class TestMertonAsGeneric:
     def test_zero_allocation_drifts_risk_free(self):
         prob = merton_as_generic(make_params())
@@ -72,15 +77,21 @@ class TestMertonAsGeneric:
         for _ in range(50):
             t, x, u = rng.uniform(0, 1), rng.uniform(-5, 5), rng.uniform(0, 3)
             assert prob.jump_map(t, x, u) == x - u
+        # x + log_wealth_drop(u) on the mesh is x - u bit for bit, signed zeros included
+        x, u = SIGNED_MESH
+        assert prob.jump_map(0.0, x, u).tobytes() == (x - u).tobytes()
 
     def test_linear_jump_value(self):
         prob = merton_as_generic(make_params(), DefaultLossModel.LINEAR,
-                                 control_bounds=(0.0, 0.9))
+                                 control_bounds=(-1.0, 0.9))
         assert prob.jump_map(0.0, 0.0, 0.5) == pytest.approx(-0.6931471805599453,
                                                              abs=1e-15)
+        x, u = SIGNED_MESH
+        assert prob.jump_map(0.0, x, u).tobytes() == (x + np.log1p(-u)).tobytes()
 
     def test_linear_with_unit_leverage_rejected(self):
-        with pytest.raises(ValueError):
+        # the loss model's rule, a ConfigError (a ValueError)
+        with pytest.raises(ConfigError, match=r"^linear loss requires pi < 1 "):
             merton_as_generic(make_params(), DefaultLossModel.LINEAR,
                               control_bounds=(0.0, 1.0))
 
