@@ -170,11 +170,8 @@ def resolve_config(raw: dict, overrides=None) -> dict:
     for key in _walk(raw, cfg, overrides or {}):
         if key == "w0":
             market = _built("market parameters", MarketParams, **cfg["market"])
-        elif key == "control_bounds":
-            lo, hi = cfg["control_bounds"]
-            if not lo < hi:
-                raise ConfigError("control_bounds must satisfy u_lo < u_hi")
-            build_loss(cfg).log_wealth_drop(hi)     # linear: pi < 1
+        elif key == "control_bounds":     # the problem judges the bounds, the loss u_hi
+            problem = merton_as_generic(market, build_loss(cfg), tuple(cfg["control_bounds"]))
         elif key == "n_t" and {"control_nodes", "control_step"} <= raw.get("grid", {}).keys():
             raise ConfigError("give grid.control_nodes or grid.control_step, not both")
         elif key == "control_step" and cfg["grid"].get("control_step", 1.0) <= 0.0:
@@ -195,8 +192,7 @@ def resolve_config(raw: dict, overrides=None) -> dict:
             build_loss(cfg).log_wealth_drop(s["pi_hi"])     # linear: pi < 1
     # the dataclasses and the node counts check the rest, so every command fails fast
     grid, _, mc = build_grid(cfg), build_ode(cfg, market), build_mc(cfg)
-    validate_grid_for(merton_as_generic(market, build_loss(cfg),
-                                        tuple(cfg["control_bounds"])), grid)
+    validate_grid_for(problem, grid)
     for where, count in (("grid.n_x * (grid.n_t + 1)", grid.n_x * (grid.n_t + 1)),
                          ("grid.n_x * control nodes", grid.n_x * grid.control_nodes.size)):
         if count > _MAX_VALUES:
@@ -275,7 +271,7 @@ def build_variant(cfg: dict) -> FCoefficientVariant:
 
 
 def build_ode(cfg: dict, market: MarketParams) -> OdeConfig:
-    ode = _built("ode section", OdeConfig, **cfg["ode"])     # refuses a step <= 0
+    ode = _built("ode section", OdeConfig, step=cfg["ode"]["step"])  # refuses a step <= 0
     step, horizon = ode.step, market.horizon_T
     _intervals(horizon, step, f"ode.step = {step!r} over horizon_T = {horizon!r}")
     ode.stable_step(market)      # RK4 past its stability limit names ode.step
@@ -519,8 +515,8 @@ def main(argv=None) -> int:
                        "for sweep, the CSV table)")
         p.add_argument("--seed", type=int, default=None,
                        help="override mc.seed from the config")
-        p.add_argument("--variant", choices=("paper", "derived"), default=None,
-                       help="override the f(t) coefficient variant")
+        p.add_argument("--variant", default=None,
+                       help="override the f(t) coefficient variant (paper or derived)")
     args = parser.parse_args(argv)
 
     try:

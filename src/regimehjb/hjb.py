@@ -32,8 +32,9 @@ targets of rows the caller reaches next (_PostWorker), so jump_map, which
 must be pure, may run there too, more than once per step time. The
 surfaces are bitwise those of solve_after followed by solve_pre; whenever
 this path does not run to its end (no process to fork, a lost child, an
-error in the caller's pre march), the child is killed and reaped and
-solve_system runs those two, with their errors; a finished pre march warns.
+error in the caller's pre march other than a warning, which the serial path
+would raise too), the child is killed and reaped and solve_system runs
+those two, with their errors; a finished pre march warns.
 """
 
 from __future__ import annotations
@@ -143,13 +144,8 @@ class ValueSurface:
     grid: GridSpec
 
     def __post_init__(self):
-        shape = (self.grid.n_t + 1, self.grid.n_x)
-        for name in ("v_pre", "v_after", "policy"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        for arr in (self.v_pre, self.v_after, self.policy):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
@@ -577,8 +573,12 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
         try:
             v_after = _march(problem, grid, out=worker.rows, handoff=worker.post_row)[0]
             if worker.pid:            # the caller, beside a forked worker
-                with contextlib.suppress(Exception):   # solved again below
+                try:
                     v_pre, policy = _march(problem, grid, v_after, handoff=worker.pre_row)
+                except Warning:     # raised as an error: the serial path would raise it too
+                    raise
+                except Exception:   # solved again below
+                    pass
         finally:
             worker.stop()
     if v_pre is None:

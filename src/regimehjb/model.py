@@ -111,7 +111,7 @@ class RegimeControlProblem:
     def __post_init__(self):
         lo, hi = self.control_bounds
         if not (lo < hi):
-            raise ValueError("control_bounds must satisfy u_lo < u_hi")
+            raise ConfigError("control_bounds must satisfy u_lo < u_hi")
         # written so that NaN fails: the solver would take a NaN hazard for zero
         if not 0.0 <= self.hazard < math.inf:
             raise ValueError("hazard must be finite and non-negative")
@@ -124,27 +124,16 @@ class FCurve:
     """Samples of the deterministic time component f(t) of the pre-switch value.
 
     times is strictly increasing, ends at the horizon, and f(horizon) = 0.
+    The arrays given are frozen in place, not copied: the solver hands over
+    arrays of its own.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        # private copies to freeze, so the caller's arrays stay writeable
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        if times.size < 2:
-            raise ValueError("need at least two samples")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
-        if values[-1] != 0.0:
-            raise ValueError("terminal value must be exactly zero")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        self.times.setflags(write=False)
+        self.values.setflags(write=False)
 
 
 DEFAULT_CONTROL_BOUNDS = (0.0, 3.0)
@@ -164,10 +153,9 @@ def merton_as_generic(params: MarketParams,
     the post-default regime is riskless growth dx = r dt, and default
     shifts x by the loss model's log drop. The objective is posed as a
     minimization of -x_T (equivalently, maximize expected log wealth).
-    The loss model judges u_hi: linear loss with u_hi >= 1 is a ConfigError.
+    The problem judges the bounds, then the loss model judges u_hi: linear
+    loss with u_hi >= 1 is a ConfigError.
     """
-    loss.log_wealth_drop(control_bounds[1])
-
     mu, sigma, r = params.mu, params.sigma, params.r
 
     def drift_pre(t, x, u):
@@ -176,7 +164,7 @@ def merton_as_generic(params: MarketParams,
     def vol_pre(t, x, u):
         return u * sigma
 
-    return RegimeControlProblem(
+    problem = RegimeControlProblem(
         drift_pre=drift_pre,
         vol_pre=vol_pre,
         drift_post=lambda t, x, u: r,
@@ -188,3 +176,5 @@ def merton_as_generic(params: MarketParams,
         control_bounds=control_bounds,
         horizon=params.horizon_T,
     )
+    loss.log_wealth_drop(control_bounds[1])
+    return problem

@@ -118,10 +118,6 @@ class McEstimate:
     n_paths: int
     seed: int
 
-    def __post_init__(self):
-        if self.std_error < 0.0:
-            raise ValueError("std_error cannot be negative")
-
 
 def sample_default_time(h: float, u):
     """Invert the exponential survival law: tau = -ln(u) / h.

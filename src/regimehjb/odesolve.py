@@ -19,20 +19,17 @@ from .model import ConfigError, FCurve, MarketParams
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Fixed-step integrator settings.
+    """Fixed-step RK4 settings.
 
     The step is adjusted downward so that it divides the horizon into an
     integer number of intervals (count rounded up).
     """
 
     step: float = 1e-4
-    method: str = "rk4"
 
     def __post_init__(self):
         if not self.step > 0.0:        # written so that NaN fails
             raise ValueError("step must be positive")
-        if self.method.lower() != "rk4":
-            raise ValueError("only the rk4 method is available")
 
     def n_intervals(self, horizon: float) -> int:
         # the -1e-9 guard keeps e.g. step=1e-4, T=1 at exactly 10000 intervals

@@ -248,12 +248,15 @@ class TestCommandLine:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["mc"]["seed"] if flag == "--seed" else config["variant"]) == value
 
-    def test_a_flag_is_judged_as_the_key_it_sets(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "invalid mc section: seed must fit an unsigned 64-bit integer"),
+        ("--variant", "neither", "config.variant must be one of ['derived', 'paper']"),
+    ])
+    def test_a_flag_is_judged_as_the_key_it_sets(self, tmp_path, capsys, flag, value,
+                                                  message):
         path = write_config(tmp_path, base_config())
-        assert cli.main(["closed-form", "--config", path, "--seed", "-1"]) == 2
-        assert capsys.readouterr() == (
-            "", "configuration error: invalid mc section: "
-                "seed must fit an unsigned 64-bit integer\n")
+        assert cli.main(["closed-form", "--config", path, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
     def test_cfl_violation_is_config_error_naming_n_t(self, tmp_path, capsys):
         cfg = base_config()
@@ -837,7 +840,7 @@ def _raw_cli_runs(draw):
     if draw(st.booleans()):
         flags += ["--seed", str(draw(st.sampled_from([-1, 0, 7, 2 ** 64 - 1, 2 ** 64])))]
     if draw(st.booleans()):
-        flags += ["--variant", draw(st.sampled_from(["paper", "derived"]))]
+        flags += ["--variant", draw(st.sampled_from(["paper", "derived", "neither"]))]
     return raw, flags
 
 

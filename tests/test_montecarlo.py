@@ -74,10 +74,6 @@ class TestConfigs:
         with pytest.raises(ValueError, match="antithetic must be a bool"):
             McConfig(n_paths=100, seed=0, antithetic=antithetic)
 
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            McEstimate(mean=0.0, std_error=-1.0, n_paths=10, seed=0)
-
 
 class TestSampleDefaultTime:
     def test_zero_hazard_never_fires(self):

@@ -57,10 +57,6 @@ class TestOdeConfig:
         with pytest.raises(ValueError, match="step"):
             OdeConfig(step=float("nan"))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            OdeConfig(step=1e-3, method="euler")
-
     def test_interval_count_rounds_up_without_fp_spill(self):
         assert OdeConfig(step=1e-4).n_intervals(1.0) == 10_000
         assert OdeConfig(step=0.3).n_intervals(1.0) == 4
