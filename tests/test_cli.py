@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regimehjb import cli
+from regimehjb import cli, model
 
 ACCEPT_MARKET = {"mu": 0.08, "sigma": 0.2, "r": 0.02, "h": 0.02,
                  "horizon_T": 1.0, "w0": 1.0}
@@ -108,6 +108,14 @@ class TestConfigLoading:
         with pytest.raises(cli.ConfigError) as exc:
             cli.resolve_config(base_config(), overrides)
         assert str(exc.value) == message
+
+    def test_one_problem_per_resolve(self, monkeypatch):
+        built = []
+        post_init = model.RegimeControlProblem.__post_init__
+        monkeypatch.setattr(model.RegimeControlProblem, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        cli.resolve_config(base_config())
+        assert len(built) == 1
 
     def test_control_nodes_and_step_are_exclusive(self):
         cfg = base_config()
@@ -669,6 +677,12 @@ class TestEveryCommandJudgesTheWholeConfig:
         # narrower than the largest jump, 3, plus its buffer: no interior window
         ({"grid": dict(GRID, x_min=-2.0, x_max=2.0)},
          "no node of [x_min, x_max] lies 4.5 above x_min and 0.5 below x_max"),
+        # the problem judges the bounds under either loss, before the linear u_hi < 1
+        ({"control_bounds": [2.0, 1.0]}, "control_bounds must satisfy u_lo < u_hi"),
+        ({"loss_mode": "linear", "control_bounds": [2.0, 1.0]},
+         "control_bounds must satisfy u_lo < u_hi"),
+        # the schema alone judges ode.method
+        ({"ode": {"method": "euler"}}, "ode.method must be one of ['rk4']"),
     ])
     def test_exit_2_from_every_command(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, base_config(**over))

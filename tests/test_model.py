@@ -163,3 +163,10 @@ class TestFCurve:
         assert c.values[-1] == 0.0
         with pytest.raises(ValueError):
             c.values[0] = 5.0  # read-only backing array
+
+    def test_freezes_the_given_arrays_in_place(self):
+        # the solver hands over arrays of its own; they are frozen, not copied
+        times, values = np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.1, 0.0])
+        c = FCurve(times=times, values=values)
+        assert c.times is times and c.values is values
+        assert not times.flags.writeable and not values.flags.writeable
