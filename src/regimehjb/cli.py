@@ -188,7 +188,7 @@ def resolve_config(raw: dict, overrides=None) -> dict:
             # pi_lo and pi_hi are finite unless they default to an infinite control
             # bound, which the other commands accept with explicit control nodes
             if math.isfinite(s["pi_lo"]) and math.isfinite(s["pi_hi"]):
-                _intervals(s["pi_hi"] - s["pi_lo"], s["pi_step"], _sweep_where(s))
+                _nodes(s["pi_lo"], s["pi_hi"], s["pi_step"], _sweep_where(s))
             build_loss(cfg).log_wealth_drop(s["pi_hi"])     # linear: pi < 1
     # the dataclasses and the node counts check the rest, so every command fails fast
     grid, _, mc = build_grid(cfg), build_ode(cfg, market), build_mc(cfg)

@@ -8,43 +8,20 @@ are driven by the counter-based Philox generator so that path i's draws
 are a pure function of (seed, stream, i): re-runs are bit-identical and
 results do not depend on evaluation order.
 
-A sweep keeps none of its draws: each pass draws a leaf's normals and
-uniforms again and finds the leaf's paths that default before T;
-surviving paths enter a policy only through their normal draw z. The
-policies are mapped and reduced one leaf at a time along numpy's
+A sweep keeps none of its draws. Each pass walks the leaves of numpy's
 pairwise-summation tree (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 4.2): a leaf of at most _LEAF_PATHS paths is mapped
-into a reused buffer and summed with np.add.reduce, and the leaf sums are
-added in tree order. A second pass maps each leaf again and sums its
-squared deviations from the mean. Antithetic mode takes its unit mean and
-deviations over the n/2 tree of pair averages. Each pass walks the leaves
-once for all of a thread's policies: a leaf's defaulted paths are found
-once, and their values are evaluated for a run of policies at a time, as
-many as fit a leaf's worth of memory. The means and standard errors are
-bitwise those of evaluating the terminal-law formula per policy over
-every path and reducing with np.mean and np.std(ddof=1).
-
-The policy grid is cut into contiguous shares, one per thread, up to
-_MAX_WORKERS threads (fewer when the process may use fewer CPUs or the
-grid has fewer policies), the first for the caller's thread. Each share
-draws its own normals and uniforms, leaf by leaf in tree order, from a
-fresh generator of each stream at the start of each pass (Philox draws
-made in consecutive pieces equal one large draw; Salmon et al., SC'11),
-so no share waits on another, and no public function of this module runs
-off the caller's thread. numpy releases the GIL in the draws and the
-array passes. Every policy is still reduced whole by one thread, so
-results are bitwise independent of the worker count. The shares only
-compute: the caller builds their policies first, so the lowest policy
-without a law raises before anything is drawn, and once every share has
-finished it raises NumericalError for the lowest policy whose mean or
-standard error is not finite. An error in a share is raised before that
-(the first share's); a KeyboardInterrupt stops every other share at its
-next leaf and is raised first. Every thread is joined before the sweep
-returns or raises.
-Memory is, per share, a leaf of normals, a leaf buffer, the policy-free
-parts of one leaf's defaulted paths and their values under a run of
-policies, a few leaves' worth in all: it does not grow with the path
-count, at any hazard.
+Algorithms, 2nd ed., 4.2), draws a leaf's normals and uniforms again,
+inverts only the uniforms that can give a default before T and maps the
+leaf under every policy; leaf sums are added in tree order, so estimates
+are bitwise np.mean and np.std(ddof=1) of the per-policy formula. Threads
+claim the leaves in tree order. Philox draws made in pieces equal one
+large draw (Salmon et al., SC'11), but a normal takes a varying number of
+words, so a pass records the generators' states at the furthest path
+drawn; a thread restores them and draws forward to its leaf rather than
+wait for another. Results are bitwise independent of the worker count and
+claim order, no public function runs off the caller's thread, an error in
+a thread stops the others at their next claim, and memory stays a few
+leaves a thread at any path count.
 """
 
 from __future__ import annotations
@@ -67,15 +44,12 @@ from .model import DefaultLossModel, MarketParams, NumericalError
 _TAU_STREAM = 1
 _Z_STREAM = 2
 
-# a sweep spreads its policies over at most this many threads, the caller's
-# included
+# a pass runs on at most this many threads, the caller's included
 _MAX_WORKERS = 2
 
-# np.add.reduce sums a contiguous float64 array by pairwise recursion: it
-# splits n elements at n//2 - (n//2) % 8, down to unrolled blocks of at most
-# 128. The sum of a subtree is np.add.reduce of its slice, so a sweep sums
-# leaves of at most this many paths and adds the leaf sums in tree order
-# (tests/test_montecarlo.py pins this on the installed numpy)
+# np.add.reduce sums a float64 array by pairwise recursion, splitting n at
+# n//2 - (n//2) % 8 down to unrolled blocks of at most 128; a sweep sums
+# leaves of at most this many paths (tests/test_montecarlo.py pins the tree)
 _LEAF_PATHS = 65536
 
 
@@ -120,11 +94,8 @@ class McEstimate:
 
 
 def sample_default_time(h: float, u):
-    """Invert the exponential survival law: tau = -ln(u) / h.
-
-    u is a uniform (0,1) draw (vectorized over arrays); zero hazard means
-    the switch never fires, reported as +inf.
-    """
+    """Invert the exponential survival law: tau = -ln(u) / h for uniform (0,1)
+    draws u (vectorized); zero hazard never fires, reported as +inf."""
     if not h >= 0.0:        # written so that NaN fails
         raise ValueError("hazard must be non-negative")
     u_arr = np.array(u, dtype=float)      # a copy, turned into the times in place
@@ -135,11 +106,8 @@ def sample_default_time(h: float, u):
 
 
 def _default_times(h: float, u: np.ndarray) -> np.ndarray:
-    """Turn uniforms u in (0, 1) into the default times -ln(u) / h, in place.
-
-    -ln(u) is positive, so h = 0 gives +inf, and a subnormal h overflows the
-    quotient to +inf: both are the exact answer.
-    """
+    """Turn uniforms u in (0, 1) into the default times -ln(u) / h, in place:
+    h = 0 gives +inf, and a subnormal h overflows to +inf, both exact."""
     with np.errstate(over="ignore", divide="ignore"):
         return np.divide(np.negative(np.log(u, out=u), out=u), h, out=u)
 
@@ -157,22 +125,19 @@ def simulate_terminal_log_wealth(params: MarketParams, pi: float,
                                          np.asarray(tau, dtype=float))
     if np.any(np.isnan(tau_arr)) or np.any(tau_arr < 0.0):
         raise ValueError("tau must be a non-negative time or +inf")
-    z_flat = np.ravel(z_arr)
+    z_flat, tau_flat = np.ravel(z_arr), np.ravel(tau_arr)
     law = _Policies(params, loss, [pi])
-    law.leaf(z_flat, np.ravel(tau_arr))
+    offsets = np.flatnonzero(tau_flat < law.T)
+    law.leaf(z_flat, offsets, tau_flat[offsets])
     out = law.fill(0, np.empty(z_flat.size))
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 class _Policies:
     """Terminal log wealth under a list of policies, one leaf of paths at a
-    time, with the association of the formula in simulate_terminal_log_wealth.
-
-    leaf takes one leaf's normals and default times, finds the paths that
-    default before T and keeps what no policy changes of them; fill then
-    writes one policy's values of that leaf into a caller's buffer. The
-    first policy without a law (a linear loss at pi >= 1, say) raises its
-    error from the constructor, before anything is drawn.
+    time, with the association of the formula in simulate_terminal_log_wealth:
+    leaf keeps what no policy changes of a leaf's paths, fill writes one
+    policy's values. The constructor raises for the first policy without a law.
     """
 
     def __init__(self, params: MarketParams, loss: DefaultLossModel, pis):
@@ -191,22 +156,24 @@ class _Policies:
             cols.append((alpha, scale, drop))
         self.alpha, self.scale, self.drop = np.transpose(cols)[:, :, None]
 
-    def leaf(self, z: np.ndarray, tau: np.ndarray) -> None:
-        """Take a leaf of paths whose normals are z (held until the next leaf
-        call) and whose default times are tau (free once this returns)."""
+    def free(self) -> None:
+        """Let go of the last leaf's arrays before the next leaf's are made."""
+        self.values = self.offsets = self.tau = self.sqrt_tau = self.z_hit = self.growth = None
+
+    def leaf(self, z: np.ndarray, offsets: np.ndarray, tau: np.ndarray) -> None:
+        """Take a leaf of paths whose normals are z, of which those at offsets
+        default before T at times tau (all held until the next leaf call)."""
         self.run, self.values = range(0), None   # no policy's values for this leaf yet
-        self.z = z
-        self.offsets = np.flatnonzero(tau < self.T)
-        self.tau = tau[self.offsets]
-        self.sqrt_tau, self.z_hit = np.sqrt(self.tau), z[self.offsets]
-        self.growth = self.r * (self.T - self.tau)
+        self.z, self.offsets, self.tau = z, offsets, tau
+        self.sqrt_tau, self.z_hit = np.sqrt(tau), z[offsets]
+        self.growth = self.r * (self.T - tau)
 
     def fill(self, j: int, out: np.ndarray) -> np.ndarray:
         """Write the last leaf's paths under policy j into out[:z.size] and
         return that slice."""
         if j not in self.run:
             # a run of policies from j, as many as fit a leaf's worth of values
-            # (the last run's are freed first: a share holds one run's at a time)
+            # (the last run's are freed first: a thread holds one run's at a time)
             size = max(1, _LEAF_PATHS // max(1, 2 * self.tau.size))
             self.run, self.values = range(j, min(j + size, len(self.pis))), None
             rows = slice(j, self.run.stop)
@@ -226,73 +193,140 @@ class _Policies:
         return out
 
 
-def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
-    """np.add.reduce over elements lo..lo+n-1, bit for bit, from
-    leaf_sum(a, b), np.add.reduce of elements a..b-1 for each subtree of at
-    most cap (>= 128) elements of numpy's pairwise tree, added in tree order
-    (elementwise, when leaf_sum returns an array of such sums)."""
+def _defaulted(h: float, T: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The offsets of the uniforms u in [0, 1) whose default times
+    -ln(max(u, tiny)) / h fall before T, and those times, bitwise; only
+    v = max(u, tiny) > c is inverted. Division rounds monotonically, so such
+    a time needs -log(v) < h T, and with numpy's log within 2^-42 relative
+    plus 2^-50 absolute, v > c follows with room for the rounding of c."""
+    if h == 0.0:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    tiny, c = np.finfo(float).tiny, math.exp(-(h * T + 2.0 ** -48) * (1.0 + 2.0 ** -40))
+    offsets = np.flatnonzero(u > (c if c >= tiny else -1.0))   # v > c for every u
+    tau = u[offsets]
+    # random() can return exactly 0; nudge to keep the inverse CDF finite
+    tau = _default_times(h, np.maximum(tau, tiny, out=tau))
+    kept = tau < T
+    if not kept.all():      # a v just above c can still give T or later
+        offsets, tau = offsets[kept], tau[kept]
+    return offsets, tau
+
+
+def _fold(n: int, cap: int, lo: int = 0):
+    """Yield the bounds (a, b) of each leaf (a subtree of at most cap >= 128
+    elements) of numpy's tree over elements lo..lo+n-1 in order, be sent each
+    leaf's np.add.reduce, and return that of all n elements, bit for bit."""
     if n <= cap:
-        return leaf_sum(lo, lo + n)
+        return (yield lo, lo + n)
     half = n // 2 - (n // 2) % 8
-    return _tree_sum(half, cap, leaf_sum, lo) + _tree_sum(n - half, cap, leaf_sum, lo + half)
+    return (yield from _fold(half, cap, lo)) + (yield from _fold(n - half, cap, lo + half))
 
 
-def _reduce_policies(law: _Policies, cfg: McConfig,
+def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
+    """_fold over elements lo..lo+n-1, sent leaf_sum(a, b) for each leaf."""
+    fold, sums = _fold(n, cap, lo), None
+    try:
+        while True:
+            sums = leaf_sum(*fold.send(sums))
+    except StopIteration as end:
+        return end.value
+
+
+class _Pass:
+    """One pass's leaves, claimed in tree order by whichever thread is free,
+    and the fold of their sums, which holds those ahead of the first missing."""
+
+    def __init__(self, n: int, cap: int, start, stop: threading.Event):
+        self.lock, self.stop, self.sums = threading.Lock(), stop, {}
+        self.furthest = (0, start)    # (path, generator states there); claims restore it
+        self.claims, self.fold = _fold(n, cap), _fold(n, cap)
+        self.next, self.wanted = next(self.claims), next(self.fold)[0]
+
+    def claim(self):        # the next leaf (a, b) and the furthest record, or None
+        with self.lock:
+            leaf = self.next
+            if leaf is None or self.stop.is_set():
+                return None
+            try:
+                self.next = self.claims.send(0.0)    # a fold of zeros walks the leaves
+            except StopIteration:
+                self.next = None
+            return leaf, self.furthest
+
+    def record(self, path: int, states) -> None:
+        with self.lock:
+            if path > self.furthest[0]:
+                self.furthest = (path, states)
+
+    def done(self, a: int, sums: np.ndarray) -> None:
+        with self.lock:
+            self.sums[a] = sums
+            try:
+                while self.wanted in self.sums:
+                    self.wanted = self.fold.send(self.sums.pop(self.wanted))[0]
+            except StopIteration as end:
+                self.total = end.value
+
+
+# per thread: a non-finite value leaves a non-finite estimate, judged last
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+
+
+def _reduce_policies(laws: List[_Policies], cfg: McConfig,
                      stop: threading.Event) -> List[McEstimate]:
-    """For each of law's policies: np.mean of every path's terminal log wealth
-    and np.std(units, ddof=1) / sqrt(units.size), bit for bit.
-
-    Each pass walks the leaves of numpy's tree once for all the policies.
-    It draws each leaf's normals into z and its uniforms into buf, each
-    from a fresh generator of its stream started at the pass's first leaf
-    (antithetic mode fills pairs (z, -z) from half as many normals; at
-    h = 0 no uniforms are drawn), and turns the uniforms into default
-    times in place. law.leaf then keeps the leaf's defaulted paths, and
-    one policy's leaf of at most _LEAF_PATHS paths at a time is mapped
-    into buf: a leaf of draws stays in cache for the other policies, and
-    its defaulted paths are found once per pass. A leaf taken once stop is
-    set raises InterruptedError.
-    """
-    n = cfg.n_paths
+    """Per policy of the laws (one per thread, each over the whole grid):
+    np.mean of every path's terminal log wealth and np.std(units, ddof=1) /
+    sqrt(units.size), bit for bit. In each pass a thread restores its
+    generators to the furthest record, draws normals into z (antithetic:
+    pairs (z, -z) from half as many) and uniforms into buf (none at h = 0)
+    up to its leaf's end, and maps the leaf into buf one policy at a time."""
+    n, h, T = cfg.n_paths, laws[0].h, laws[0].T
     # antithetic pairs are correlated by construction; the independent
     # statistical unit is the pair average, reduced over the tree of n/2
     width = 2 if cfg.antithetic else 1          # paths per unit
-    n_units = n // width
-    z, buf = np.empty((2, min(n, _LEAF_PATHS)))
-    half = np.empty(z.size // 2 if cfg.antithetic else 0)
+    n_units, size = n // width, min(n, _LEAF_PATHS)
+    buffers = [np.empty((2, size)) for _ in laws]
+    normals = [np.empty(size // 2) if cfg.antithetic else z for z, _ in buffers]
+    generators = [[np.random.Generator(np.random.Philox(key=(stream << 64) | cfg.seed))
+                   for stream in (_Z_STREAM, _TAU_STREAM)[:1 + (h > 0.0)]] for _ in laws]
+    start = tuple(g.bit_generator.state for g in generators[0])
 
     def tree_sums(n_elems, paths_per, finish=None):
-        """Per policy, np.add.reduce over n_elems elements, each the average
-        of paths_per consecutive paths, passed through finish(j, leaf)."""
-        g_z, g_tau = (np.random.Generator(np.random.Philox(key=(stream << 64) | cfg.seed))
-                      for stream in (_Z_STREAM, _TAU_STREAM))
+        # per policy, np.add.reduce over n_elems averages of paths_per paths
+        walk = _Pass(n_elems, _LEAF_PATHS // paths_per, start, stop)
 
-        def leaf_sums(lo, hi):
-            if stop.is_set():
-                raise InterruptedError("another share of the sweep was interrupted")
-            leaf, tau = z[:paths_per * (hi - lo)], buf[:paths_per * (hi - lo)]
-            if cfg.antithetic:
-                leaf[0::2] = g_z.standard_normal(out=half[:leaf.size // 2])
-                np.negative(leaf[0::2], out=leaf[1::2])
-            else:
-                g_z.standard_normal(out=leaf)
-            if law.h == 0.0:
-                tau.fill(np.inf)
-            else:
-                # random() can return exactly 0; nudge to keep the inverse CDF finite
-                g_tau.random(out=tau)
-                _default_times(law.h, np.maximum(tau, np.finfo(float).tiny, out=tau))
-            law.leaf(leaf, tau)
-            sums = np.empty(len(law.pis))
-            for j in range(sums.size):
-                vals = law.fill(j, buf)
-                if paths_per == 2:
-                    vals = np.add(vals[0::2], vals[1::2], out=buf[:hi - lo])
-                    np.multiply(vals, 0.5, out=vals)
-                sums[j] = np.add.reduce(vals if finish is None else finish(j, vals))
-            return sums
+        def work(k):
+            law, (z, buf), gens = laws[k], buffers[k], generators[k]
+            with _quiet():
+                while (claim := walk.claim()) is not None:
+                    (a, b), (p, states) = claim
+                    for g, state in zip(gens, states):
+                        g.bit_generator.state = state
+                    lo, hi = paths_per * a, paths_per * b
+                    while p < hi:       # forward to the leaf, then the leaf
+                        q = hi if p >= lo else min(lo, p + size)
+                        gens[0].standard_normal(out=normals[k][:(q - p) // width])
+                        if h > 0.0:
+                            gens[1].random(out=buf[:q - p])
+                        p = q
+                        walk.record(p, tuple(g.bit_generator.state for g in gens))
+                    leaf = z[:hi - lo]
+                    if cfg.antithetic:
+                        leaf[0::2] = normals[k][:leaf.size // 2]
+                        np.negative(leaf[0::2], out=leaf[1::2])
+                    law.free()
+                    law.leaf(leaf, *_defaulted(h, T, buf[:leaf.size]))
+                    sums = np.empty(len(law.pis))
+                    for j in range(sums.size):
+                        vals = law.fill(j, buf)
+                        if paths_per == 2:
+                            vals = np.add(vals[0::2], vals[1::2], out=buf[:b - a])
+                            np.multiply(vals, 0.5, out=vals)
+                        sums[j] = np.add.reduce(vals if finish is None else finish(j, vals))
+                    walk.done(a, sums)
 
-        return _tree_sum(n_elems, _LEAF_PATHS // paths_per, leaf_sums)
+        _in_threads([functools.partial(work, k) for k in range(len(laws))], stop)
+        return walk.total
 
     means = tree_sums(n, 1) / n
     units_means = tree_sums(n_units, width) / n_units if cfg.antithetic else means
@@ -316,16 +350,12 @@ def estimate(params: MarketParams, pi: float, loss: DefaultLossModel,
 
 def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
           cfg: McConfig) -> Tuple[List[Tuple[float, McEstimate]], int]:
-    """Estimate every policy on the grid with common random numbers.
-
-    The same (tau, z) draws are reused for every grid point, so the
-    empirical argmax is a low-variance comparison. Each thread's share of
-    the grid is one _Policies, built on the caller's thread before any
-    share starts and reduced in one walk of the leaves per pass over draws
-    that the share makes itself; the caller judges the estimates once every
-    share has finished. Returns the per-point estimates and the maximizing
-    index (ties resolve to the smallest pi).
-    """
+    """Estimate every policy on the grid with common random numbers (one
+    draw set, so the empirical argmax is a low-variance comparison) by
+    min(CPUs, leaves, policies, _MAX_WORKERS) threads (a lone policy's map
+    cannot hide a leaf's draws), each with a _Policies over the whole grid
+    built on the caller's thread before any draw. Returns the estimates and
+    the maximizing index (ties resolve to the smallest pi)."""
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
         raise ValueError("pi_grid must be a non-empty 1-D array")
@@ -336,23 +366,11 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)      # not every platform has an affinity
-    n_workers = min(cpus, pi_arr.size, _MAX_WORKERS)
-    edges = [pi_arr.size * w // n_workers for w in range(n_workers + 1)]
-    # numpy's error state is per thread; a non-finite intermediate leaves a
-    # non-finite mean or std, judged once every share has finished
-    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
-    with quiet():       # every law, lowest policy first, before any draw
-        laws = [_Policies(params, loss, [float(pi) for pi in pi_arr[lo:hi]])
-                for lo, hi in zip(edges[:-1], edges[1:])]
-    shares = [None] * n_workers
-    stop = threading.Event()      # set by a KeyboardInterrupt
-
-    def reduce_share(k: int) -> None:
-        with quiet():
-            shares[k] = _reduce_policies(laws[k], cfg, stop)
-
-    _in_threads([functools.partial(reduce_share, k) for k in range(n_workers)], stop)
-    points = [point for law, ests in zip(laws, shares) for point in zip(law.pis, ests)]
+    leaves = _tree_sum(cfg.n_paths, _LEAF_PATHS, lambda a, b: 1)
+    with _quiet():       # every law, lowest policy first, before any draw
+        laws = [_Policies(params, loss, [float(pi) for pi in pi_arr])
+                for _ in range(min(cpus, leaves, pi_arr.size, _MAX_WORKERS))]
+    points = list(zip(laws[0].pis, _reduce_policies(laws, cfg, threading.Event())))
     for pi, est in points:
         if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
             raise NumericalError(f"the Monte Carlo estimate at pi={pi!r} is not finite")
@@ -361,16 +379,15 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
 
 def _in_threads(tasks, stop: threading.Event) -> None:
     """Call every task, the first in the caller thread and each other one on
-    a thread of its own, and return when all have finished. If any raised,
-    re-raise the exception of the first such task in list order. A
-    KeyboardInterrupt, in a task or while the caller waits for the others,
-    sets stop for the tasks to end early and is raised before any error."""
+    a thread of its own; once all have finished, re-raise the first task's
+    exception in list order. An exception sets stop for the tasks to end
+    early; a KeyboardInterrupt (in a task or the caller's wait) comes first."""
     errors, interrupts, done = [None] * len(tasks), [], [threading.Event() for _ in tasks]
 
     def interrupted(exc):
+        stop.set()
         if not isinstance(exc, Exception):
             interrupts.append(exc)
-            stop.set()
         return exc
 
     def run(k):

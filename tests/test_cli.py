@@ -662,6 +662,10 @@ class TestEveryCommandJudgesTheWholeConfig:
          "control_nodes fall outside the problem's control_bounds"),
         ({"sweep": {"pi_step": 1e-320}},
          "sweep.pi_step = 1e-320 over [pi_lo, pi_hi] = [0.0, 3.0] gives inf intervals"),
+        # a finite node count whose nodes do not ascend: only sweep refused it
+        ({"sweep": {"pi_lo": 1, "pi_hi": 1.0000000000000002, "pi_step": 1e-17}},
+         "sweep.pi_step = 1e-17 over [pi_lo, pi_hi] = [1.0, 1.0000000000000002] "
+         "gives nodes that are not strictly ascending"),
         # RK4 past its stability limit: ode-check printed "f0_rk4": NaN
         ({"market": dict(ACCEPT_MARKET, h=3e4)},
          "ode.step = 0.0001 gives RK4 steps of 0.0001 that are unstable at h = 30000.0: "

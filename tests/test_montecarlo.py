@@ -123,6 +123,37 @@ class TestSampleDefaultTime:
             sample_default_time(h, np.array([0.25, 0.5]))
 
 
+class TestDefaultedPaths:
+    @staticmethod
+    def _around(x, k=64):
+        """x and the k floats on each side of it, kept inside [0, 1)."""
+        steps = np.array([x]).view(np.int64) + np.arange(-k, k + 1)
+        vals = steps[steps >= 0].view(np.float64)
+        return vals[vals < 1.0]
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("h", [0.0, 1e-310, 1e-300, 0.02, 5.0, 1e300])
+    def test_defaulted_paths_are_the_full_inverse_cdfs(self, h, T):
+        # the inverse CDF taken only above the rounding margin gives the
+        # offsets and times of the inverse CDF over every uniform, bit for bit
+        tiny = np.finfo(float).tiny
+        edges = [math.exp(-h * T), math.exp(-(h * T + 2.0 ** -48) * (1.0 + 2.0 ** -40)),
+                 0.0, tiny, 1.0 - 2.0 ** -53]
+        rng = np.random.Generator(np.random.Philox(key=17))
+        u = np.concatenate([self._around(x) for x in edges]
+                           + [[0.0, tiny, 2.0 ** -53, 0.5], rng.random(100_000)])
+        rng.shuffle(u)
+        before = u.copy()
+        offsets, tau = montecarlo._defaulted(h, T, u)
+        full = sample_default_time(h, np.maximum(u, tiny))
+        expected = np.flatnonzero(full < T)
+        assert offsets.tobytes() == expected.tobytes()
+        assert tau.tobytes() == full[expected].tobytes()
+        assert u.tobytes() == before.tobytes()
+        if h in (0.02, 5.0):       # defaults on both sides of the cut
+            assert 0 < offsets.size < u.size
+
+
 class TestSimulateTerminalLogWealth:
     def test_all_cash_never_defaults(self):
         got = simulate_terminal_log_wealth(ACCEPT, 0.0, EXP, z=1.7, tau=math.inf)
@@ -319,7 +350,8 @@ PATH_CASES = [(2, False), (7, False), (100_001, False), (200_000, False),
 
 class _WorkerSpy:
     """Forces the sweep's worker count through _MAX_WORKERS and the CPU
-    affinity, and records the threads that reduce policies."""
+    affinity, and records, per pass, the number of threads that claim its
+    leaves, and every such thread."""
 
     def __init__(self, monkeypatch, max_workers, cpus):
         self.monkeypatch = monkeypatch
@@ -327,18 +359,55 @@ class _WorkerSpy:
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         self.cap = min(max_workers, cpus)
-        self.threads = set()
-        reduce_policies = montecarlo._reduce_policies
+        self.passes, self.threads = [], set()
+        in_threads = montecarlo._in_threads
 
-        def spy(*args):
-            self.threads.add(threading.current_thread())
-            return reduce_policies(*args)
+        def task(fn):
+            def call():
+                self.threads.add(threading.current_thread())
+                return fn()
+            return call
 
-        monkeypatch.setattr(montecarlo, "_reduce_policies", spy)
+        def spy(tasks, stop):
+            self.passes.append(len(tasks))
+            return in_threads([task(fn) for fn in tasks], stop)
+
+        monkeypatch.setattr(montecarlo, "_in_threads", spy)
+
+    def expect(self, n_paths, n_policies=7):
+        """The thread count of every pass of a sweep over n_paths paths and
+        n_policies policies (seven: a GRIDS sweep)."""
+        return min(self.cap, _leaf_count(n_paths), n_policies)
+
+
+def _leaf_count(n_paths):
+    return montecarlo._tree_sum(n_paths, montecarlo._LEAF_PATHS, lambda a, b: 1)
+
+
+def _spy_claims(monkeypatch):
+    """Record every claimed leaf as (thread, first path, end path, the path
+    its thread's draws start from)."""
+    claims, init, claim = [], montecarlo._Pass.__init__, montecarlo._Pass.claim
+
+    def spy_init(walk, n, cap, *args):
+        walk.paths_per = montecarlo._LEAF_PATHS // cap
+        init(walk, n, cap, *args)
+
+    def spy_claim(walk):
+        got = claim(walk)
+        if got is not None:
+            (a, b), (start, _) = got
+            claims.append((threading.current_thread(), walk.paths_per * a,
+                           walk.paths_per * b, start))
+        return got
+
+    monkeypatch.setattr(montecarlo._Pass, "__init__", spy_init)
+    monkeypatch.setattr(montecarlo._Pass, "claim", spy_claim)
+    return claims
 
 
 # (_MAX_WORKERS, CPUs): one CPU; two threads; more threads than the seven
-# policies of a GRIDS sweep, which then runs one thread per policy
+# policies of a GRIDS sweep, which then runs a thread per leaf, up to seven
 @pytest.fixture(params=[(2, 1), (2, 2), (16, 16)],
                 ids=["one-cpu", "two-workers", "more-workers-than-policies"])
 def workers(request, monkeypatch):
@@ -362,13 +431,15 @@ class TestSweepReferenceEquivalence:
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=2.0, w0=2.5)
         for seed, (n_paths, antithetic) in enumerate(PATH_CASES):
             cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
-            workers.threads.clear()
+            workers.passes.clear()
             _assert_bitwise_sweep(params, loss, GRIDS[loss], cfg)
-            assert len(workers.threads) == min(workers.cap, len(GRIDS[loss]))
+            assert set(workers.passes) == {workers.expect(n_paths)}
 
     def test_many_workers_switching_often_stay_bitwise(self, monkeypatch):
-        # more threads than cores, switching every microsecond: a lost or
-        # misplaced write to a grid slot would break the equality
+        # more threads than cores, claiming leaves of 256 paths and switching
+        # every microsecond: a lost or misplaced leaf sum or generator record
+        # would break the equality (the pair-average tree's leaves need >= 128)
+        monkeypatch.setattr(montecarlo, "_LEAF_PATHS", 256)
         workers = _WorkerSpy(monkeypatch, max_workers=32, cpus=32)
         grid = np.linspace(0.0, 3.0, 25).tolist()
         interval = sys.getswitchinterval()
@@ -376,10 +447,10 @@ class TestSweepReferenceEquivalence:
         try:
             for seed, (n_paths, antithetic) in enumerate([(7, False), (UFUNC_BUFFER, True),
                                                           (100_001, False)]):
-                workers.threads.clear()
+                workers.passes.clear()
                 cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
                 _assert_bitwise_sweep(ACCEPT, EXP, grid, cfg)
-                assert len(workers.threads) == len(grid)
+                assert set(workers.passes) == {workers.expect(n_paths, len(grid))}
         finally:
             sys.setswitchinterval(interval)
 
@@ -506,25 +577,28 @@ class TestLeafwiseReduction:
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("h", [0.02, 5.0])
     def test_each_pass_reads_each_leaf_once_per_share(self, monkeypatch, h, antithetic):
-        # blocks of policies within a share would walk the leaves once per block;
-        # each leaf's normals and default times are its paths' draws
-        _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        # each pass reads each leaf once, in whichever thread claimed it; each
+        # leaf's normals and defaulted paths are its paths' draws
+        workers = _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
+        claims = _spy_claims(monkeypatch)
         n_paths = 3 * LEAF + 6
         cfg = McConfig(n_paths=n_paths, seed=5, antithetic=antithetic)
         u_ref, z_ref = _reference_draws(cfg)
-        calls = {}
-        read_leaf = montecarlo._Policies.leaf
+        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
+        read, read_leaf = [], montecarlo._Policies.leaf
 
-        def spy(law, z, tau):
-            leaves = calls.setdefault(threading.current_thread(), [])
-            lo = leaves[-1][1] % n_paths if leaves else 0    # a pass starts at path 0
-            leaves.append((lo, lo + z.size))
+        def spy(law, z, offsets, tau):
+            lo = next(lo for thread, lo, _, _ in reversed(claims)
+                      if thread is threading.current_thread())
+            read.append((lo, lo + z.size))
             assert z.tobytes() == z_ref[lo:lo + z.size].tobytes()
-            assert tau.tobytes() == sample_default_time(h, u_ref[lo:lo + z.size]).tobytes()
-            return read_leaf(law, z, tau)
+            tau_ref = sample_default_time(h, u_ref[lo:lo + z.size])
+            offsets_ref = np.flatnonzero(tau_ref < params.horizon_T)
+            assert offsets.tobytes() == offsets_ref.tobytes()
+            assert tau.tobytes() == tau_ref[offsets_ref].tobytes()
+            return read_leaf(law, z, offsets, tau)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
-        params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         sweep(params, EXP, GRIDS[EXP], cfg)
 
         def leaves_of(n_units, width):
@@ -541,9 +615,9 @@ class TestLeafwiseReduction:
         # the mean over the n tree, then two passes over the n/2 tree
         passes = ([leaves_of(n_paths, 1)] + [leaves_of(n_paths // 2, 2)] * 2 if antithetic
                   else [leaves_of(n_paths, 1)] * 2)
-        assert len(calls) == 2
-        for got in calls.values():
-            assert got == [leaf for walk in passes for leaf in walk]
+        assert workers.passes == [2] * len(passes)
+        every_leaf = sorted(leaf for walk in passes for leaf in walk)
+        assert sorted((lo, hi) for _, lo, hi, _ in claims) == sorted(read) == every_leaf
 
 
 def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
@@ -555,6 +629,7 @@ def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
     class Spy:
         def __init__(self, bit_generator):
             self.real = generator(bit_generator)
+            self.bit_generator = bit_generator
 
         def random(self, *args, out=None, **kwargs):
             if before_uniforms is not None:
@@ -569,20 +644,23 @@ def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
 
 
 def _fail_at_leaf(monkeypatch, failures):
-    """failures maps "caller" or "helper" to (k, exc): that share's k-th
-    leaf (counted from 1 over every pass) raises exc. Returns the leaves
-    each share has taken, a dict filled in as the sweep runs, and per
-    share that raised, a copy of that dict taken as it raised."""
-    caller, counts, at_raise = threading.current_thread(), {}, {}
+    """failures maps k to exc: the k-th leaf read (counted from 1 over every
+    pass, in whichever thread) raises exc. Returns the leaves each thread
+    has read, a dict filled in as the sweep runs, and per leaf that raised,
+    a copy of that dict taken as it raised."""
+    counts, at_raise, lock = {}, {}, threading.Lock()
     read_leaf = montecarlo._Policies.leaf
 
-    def spy(law, z, tau):
-        who = "caller" if threading.current_thread() is caller else "helper"
-        counts[who] = counts.get(who, 0) + 1
-        if who in failures and counts[who] == failures[who][0]:
-            at_raise[who] = dict(counts)
-            raise failures[who][1]
-        return read_leaf(law, z, tau)
+    def spy(law, z, offsets, tau):
+        with lock:
+            thread = threading.current_thread()
+            counts[thread] = counts.get(thread, 0) + 1
+            k = sum(counts.values())
+            if k in failures:
+                at_raise[k] = dict(counts)
+        if k in failures:
+            raise failures[k]
+        return read_leaf(law, z, offsets, tau)
 
     monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
     return counts, at_raise
@@ -594,99 +672,93 @@ class TestNormalStream:
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     def test_normals_are_drawn_once_per_pass_at_any_worker_count(self, workers, antithetic):
-        drawn, lock = {}, threading.Lock()    # per share, the normals of each generator
+        # each pass draws each leaf's normals once in all, plus the normals a
+        # thread draws forward from the furthest record to the leaf it claimed
+        drawn, lock = [], threading.Lock()
 
         def record(generator, count):
             with lock:
-                per_generator = drawn.setdefault(threading.current_thread(), {})
-                per_generator.setdefault(generator, []).append(count)
+                drawn.append(count)
 
         _spy_normals(workers.monkeypatch, record)
+        claims = _spy_claims(workers.monkeypatch)
         cfg = McConfig(n_paths=self.N_PATHS, seed=6, antithetic=antithetic)
         sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
         # plain: the mean and the deviations; antithetic: the mean, the pair
-        # averages' mean and their deviations, from half as many normals;
-        # each pass from a generator of its own, at most a leaf at a time
-        passes = 3 if antithetic else 2
-        assert len(drawn) == min(workers.cap, len(GRIDS[EXP]))
-        for per_generator in drawn.values():
-            assert ([sum(counts) for counts in per_generator.values()]
-                    == [self.N_PATHS // (2 if antithetic else 1)] * passes)
-            assert max(max(counts) for counts in per_generator.values()) <= LEAF
+        # averages' mean and their deviations, from half as many normals
+        passes, width = (3, 2) if antithetic else (2, 1)
+        forward = sum(lo - start for _, lo, _, start in claims) // width
+        assert workers.passes == [workers.expect(self.N_PATHS)] * passes
+        assert sum(drawn) == passes * self.N_PATHS // width + forward
+        assert max(drawn) <= LEAF // width and (workers.cap > 1 or forward == 0)
 
     @pytest.mark.parametrize("h", [0.0, 0.02], ids=["no-hazard", "hazard"])
     def test_uniforms_are_drawn_once_per_pass_and_share_unless_h_is_zero(self, workers, h):
-        drawn, lock = {}, threading.Lock()    # per share, the uniforms of each generator
+        drawn, lock = [], threading.Lock()
 
         def record(generator, count):
             with lock:
-                per_generator = drawn.setdefault(threading.current_thread(), {})
-                per_generator.setdefault(generator, []).append(count)
+                drawn.append(count)
 
         _spy_normals(workers.monkeypatch, lambda generator, count: None, record)
+        claims = _spy_claims(workers.monkeypatch)
         params = MarketParams(mu=0.08, sigma=0.2, r=0.02, h=h, horizon_T=1.0, w0=1.0)
         sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=self.N_PATHS, seed=6))
         if h == 0.0:
-            assert drawn == {}      # no path can default
+            assert drawn == []      # no path can default
             return
-        # the mean and the deviations, each pass from a generator of its own
-        assert len(drawn) == min(workers.cap, len(GRIDS[EXP]))
-        for per_generator in drawn.values():
-            assert [sum(counts) for counts in per_generator.values()] == [self.N_PATHS] * 2
-            assert max(max(counts) for counts in per_generator.values()) <= LEAF
+        # the mean and the deviations, plus the uniforms drawn forward
+        forward = sum(lo - start for _, lo, _, start in claims)
+        assert sum(drawn) == 2 * self.N_PATHS + forward
+        assert max(drawn) <= LEAF
 
     def test_a_slow_share_does_not_hold_the_others_back(self, monkeypatch):
-        # while the caller's share sleeps 5 ms per leaf, the helper's takes
-        # all of its leaves: it draws its own normals and waits on no share
+        # the caller holds its first leaf until the helper has read every
+        # other leaf of the pass: the helper draws forward past the caller's
+        # leaf where it must, and waits on no thread
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
         caller, by_caller = threading.current_thread(), []
+        helper_read_seven = threading.Event()
         read_leaf = montecarlo._Policies.leaf
 
-        def spy(law, z, tau):
+        def spy(law, z, offsets, tau):
             by_caller.append(threading.current_thread() is caller)
-            if by_caller[-1]:
-                time.sleep(0.005)
-            return read_leaf(law, z, tau)
+            if by_caller.count(False) == 7:
+                helper_read_seven.set()
+            if by_caller[-1] and by_caller.count(True) == 1:
+                assert helper_read_seven.wait(10)
+            return read_leaf(law, z, offsets, tau)
 
         monkeypatch.setattr(montecarlo._Policies, "leaf", spy)
         sweep(ACCEPT, EXP, [0.5, 1.0], McConfig(n_paths=8 * LEAF, seed=7))
-        # two passes of eight leaves a share; the helper takes its last leaf
-        # while the caller is still in its first pass (a ring of four leaves
-        # would hold the helper to four leaves ahead of the caller)
-        last = len(by_caller) - by_caller[::-1].index(False)
-        assert by_caller.count(False) == by_caller.count(True) == 16
-        assert by_caller[:last].count(True) <= 8
+        # two passes of eight leaves; the helper took all of the first pass
+        # but the caller's leaf
+        assert len(by_caller) == 16 and by_caller[:8].count(False) == 7
 
     @pytest.mark.parametrize("failures,expected", [
-        ({"helper": (5, KeyError("helper"))}, KeyError),
-        ({"caller": (6, ValueError("caller")), "helper": (2, KeyError("helper"))}, ValueError),
-        ({"caller": (2, KeyboardInterrupt())}, KeyboardInterrupt),
-        ({"helper": (3, KeyboardInterrupt()), "caller": (7, ValueError("caller"))},
-         KeyboardInterrupt),
-    ], ids=["helper-raises", "lowest-share-first", "interrupt-in-caller", "interrupt-in-helper"])
+        ({5: KeyError("leaf")}, KeyError),
+        ({2: KeyboardInterrupt()}, KeyboardInterrupt),
+        ({3: KeyboardInterrupt(), 4: ValueError("leaf")}, KeyboardInterrupt),
+    ], ids=["a-leaf-raises", "interrupt", "interrupt-before-an-error"])
     def test_a_failing_share_stops_the_sweep_and_leaves_no_thread(self, monkeypatch,
                                                                  failures, expected):
-        # a share that raises lets the others finish, so the lowest failing
-        # share is reported, as a serial loop would; an interrupt stops every
-        # other share within one leaf
+        # a leaf that raises stops every other thread at its next claim, so
+        # each reads at most the leaf it holds; the interrupt is raised first
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
         counts, at_raise = _fail_at_leaf(monkeypatch, failures)
         before = set(threading.enumerate())
         with pytest.raises(expected):
             sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=self.N_PATHS, seed=8))
         assert set(threading.enumerate()) == before
-        interrupted = [who for who, (_, exc) in failures.items()
-                       if isinstance(exc, KeyboardInterrupt)]
-        for who in interrupted:
-            assert all(count <= at_raise[who].get(other, 0) + 1
-                       for other, count in counts.items() if other != who)
-        if not interrupted and len(failures) == 1:
-            assert counts["caller"] == 2 * 4      # two passes of four leaves
+        first = at_raise[min(at_raise)]
+        assert all(count <= first.get(thread, 0) + 1 for thread, count in counts.items())
+        assert sum(counts.values()) <= min(at_raise) + 1
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("fail_at", [1, 3, 6])
     def test_a_failing_draw_is_raised_and_leaves_no_thread(self, workers, antithetic, fail_at):
-        # a draw that fails fails its share, like any error of the share
+        # a draw that fails, forward or for a claimed leaf, fails its thread
+        # like any error of the thread
         calls, lock = [], threading.Lock()
 
         def before_draw(generator, count):
@@ -702,6 +774,78 @@ class TestNormalStream:
             sweep(ACCEPT, EXP, GRIDS[EXP],
                   McConfig(n_paths=self.N_PATHS, seed=9, antithetic=antithetic))
         assert set(threading.enumerate()) == before
+
+
+class TestLeafClaims:
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("max_workers", [2, 3])
+    def test_bits_do_not_depend_on_the_claim_order(self, monkeypatch, max_workers,
+                                                   antithetic):
+        # the caller stalls on every leaf it reads, so the helpers finish the
+        # leaves after it first and draw forward past it
+        _WorkerSpy(monkeypatch, max_workers, cpus=max_workers)
+        caller, read_leaf, done = (threading.current_thread(), montecarlo._Policies.leaf,
+                                   montecarlo._Pass.done)
+        waiting = []
+
+        def stall(law, z, offsets, tau):
+            if threading.current_thread() is caller:
+                time.sleep(0.01)
+            return read_leaf(law, z, offsets, tau)
+
+        def spy_done(walk, a, sums):
+            done(walk, a, sums)
+            waiting.append(len(walk.sums))      # sums that wait for an earlier leaf
+
+        monkeypatch.setattr(montecarlo._Policies, "leaf", stall)
+        monkeypatch.setattr(montecarlo._Pass, "done", spy_done)
+        cfg = McConfig(n_paths=6 * LEAF + 10, seed=12, antithetic=antithetic)
+        _assert_bitwise_sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
+        assert max(waiting) > 0
+
+    def test_a_lone_policy_runs_on_the_callers_thread(self, monkeypatch):
+        # one policy's map cannot hide a leaf's draws: a second thread would
+        # only draw the same leaves again
+        workers = _WorkerSpy(monkeypatch, max_workers=16, cpus=16)
+        estimate(ACCEPT, 1.0, EXP, McConfig(n_paths=4 * LEAF, seed=1))
+        assert workers.passes == [1, 1] and workers.threads == {threading.current_thread()}
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_pass_holds_one_state_record_at_hundreds_of_leaves(self, monkeypatch,
+                                                                 max_workers):
+        # leaves of 256 paths, about 400 a pass: the pass keeps the generator
+        # states at one path, which only moves forward, and folds the leaf
+        # sums with one partial sum per level of the tree; one thread's sums
+        # never wait
+        monkeypatch.setattr(montecarlo, "_LEAF_PATHS", 256)
+        workers = _WorkerSpy(monkeypatch, max_workers, cpus=2)
+        record, done = montecarlo._Pass.record, montecarlo._Pass.done
+        furthest, held, depths = {}, [], []
+
+        def spy_record(walk, path, states):
+            record(walk, path, states)
+            with walk.lock:
+                assert furthest.get(walk, 0) <= walk.furthest[0]
+                furthest[walk] = walk.furthest[0]
+
+        def spy_done(walk, a, sums):
+            done(walk, a, sums)
+            with walk.lock:
+                held.append(len(walk.sums))
+                depth, fold = 0, walk.fold
+                while fold is not None:
+                    depth, fold = depth + 1, fold.gi_yieldfrom
+                depths.append(depth)
+
+        monkeypatch.setattr(montecarlo._Pass, "record", spy_record)
+        monkeypatch.setattr(montecarlo._Pass, "done", spy_done)
+        n_paths = 400 * 256 + 6
+        _assert_bitwise_sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=13))
+        leaves = _leaf_count(n_paths)
+        assert workers.passes == [workers.expect(n_paths)] * 2 and leaves >= 400
+        assert len(held) == 2 * leaves and len(furthest) == 2
+        assert max(depths) <= math.ceil(math.log2(leaves)) + 1
+        assert max_workers > 1 or max(held) == 0
 
 
 class TestNonFiniteEstimates:
@@ -749,23 +893,24 @@ class TestNonFiniteEstimates:
         assert workers.threads == set()
 
     def test_every_law_is_built_on_the_callers_thread_before_any_share(self, workers):
+        # one law over the whole grid per thread, all before the first draw
         events, lock = [], threading.Lock()
-        init, reduce_policies = montecarlo._Policies.__init__, montecarlo._reduce_policies
+        init = montecarlo._Policies.__init__
 
-        def record(what, fn):
-            def call(*args):
+        def record(what, fn=None):
+            def call(*args, **kwargs):
                 with lock:
                     events.append((what, threading.current_thread()))
-                return fn(*args)
+                return fn(*args, **kwargs) if fn else None
             return call
 
         workers.monkeypatch.setattr(montecarlo._Policies, "__init__", record("law", init))
-        workers.monkeypatch.setattr(montecarlo, "_reduce_policies",
-                                    record("reduce", reduce_policies))
-        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=100, seed=0))
-        n_shares = min(workers.cap, len(GRIDS[EXP]))
-        assert events[:n_shares] == [("law", threading.current_thread())] * n_shares
-        assert [what for what, _ in events[n_shares:]] == ["reduce"] * n_shares
+        _spy_normals(workers.monkeypatch, record("draw"))
+        n_paths = 3 * LEAF + 6
+        sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=0))
+        n_threads = workers.expect(n_paths)
+        assert events[:n_threads] == [("law", threading.current_thread())] * n_threads
+        assert {what for what, _ in events[n_threads:]} == {"draw"}
 
     def test_single_antithetic_pair_has_no_standard_error(self):
         # one pair average cannot give a ddof=1 spread: a configuration error
@@ -775,15 +920,15 @@ class TestNonFiniteEstimates:
     @pytest.mark.parametrize("max_workers", [1, 2, 16])
     def test_lowest_failing_policy_is_reported_whatever_the_split(self, monkeypatch,
                                                                   max_workers):
-        # every pi > 0 is non-finite here: with two workers each share fails,
-        # with seven the caller's (pi = 0) succeeds and every helper fails
+        # every pi > 0 is non-finite here, whichever threads claim the leaves
         workers = _WorkerSpy(monkeypatch, max_workers, cpus=16)
         params = MarketParams(mu=0.08, sigma=1e154, r=0.02, h=0.02,
                               horizon_T=1.0, w0=1.0)
         before = set(threading.enumerate())
+        n_paths = 3 * LEAF + 6
         with pytest.raises(NumericalError, match=r"pi=0\.25 is"):
-            sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=100, seed=0))
-        assert len(workers.threads) == min(max_workers, len(GRIDS[EXP]))
+            sweep(params, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=0))
+        assert set(workers.passes) == {workers.expect(n_paths)}
         # no worker outlives the sweep that raised
         assert set(threading.enumerate()) == before
 
