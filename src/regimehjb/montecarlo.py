@@ -14,14 +14,14 @@ Algorithms, 2nd ed., 4.2), draws a leaf's normals and uniforms again,
 inverts only the uniforms that can give a default before T and maps the
 leaf under every policy; leaf sums are added in tree order, so estimates
 are bitwise np.mean and np.std(ddof=1) of the per-policy formula. Threads
-claim the leaves in tree order. Philox draws made in pieces equal one
-large draw (Salmon et al., SC'11), but a normal takes a varying number of
-words, so a pass records the generators' states at the furthest path
-drawn; a thread restores them and draws forward to its leaf rather than
-wait for another. Results are bitwise independent of the worker count and
-claim order, no public function runs off the caller's thread, an error in
-a thread stops the others at their next claim, and memory stays a few
-leaves a thread at any path count.
+claim the leaves in tree order. A uniform takes one Philox word (Salmon et
+al., SC'11), so a leaf's uniforms start at its first path's counter; a
+normal takes a varying number, so a pass records the normal generator's
+state at the furthest path drawn, and a thread restores it and draws
+forward to its leaf rather than wait for another. Results are bitwise
+independent of the worker count and claim order, no public function runs
+off the caller's thread, an error in a thread stops the others at their
+next claim, and memory stays a few leaves a thread at any path count.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ def _fold(n: int, cap: int, lo: int = 0):
     return (yield from _fold(half, cap, lo)) + (yield from _fold(n - half, cap, lo + half))
 
 
-def _tree_sum(n: int, cap: int, leaf_sum, lo: int = 0):
-    """_fold over elements lo..lo+n-1, sent leaf_sum(a, b) for each leaf."""
-    fold, sums = _fold(n, cap, lo), None
+def _tree_sum(n: int, cap: int, leaf_sum):
+    """_fold over elements 0..n-1, sent leaf_sum(a, b) for each leaf."""
+    fold, sums = _fold(n, cap), None
     try:
         while True:
             sums = leaf_sum(*fold.send(sums))
@@ -238,7 +238,7 @@ class _Pass:
 
     def __init__(self, n: int, cap: int, start, stop: threading.Event):
         self.lock, self.stop, self.sums = threading.Lock(), stop, {}
-        self.furthest = (0, start)    # (path, generator states there); claims restore it
+        self.furthest = (0, start)    # (path, normal generator's state there)
         self.claims, self.fold = _fold(n, cap), _fold(n, cap)
         self.next, self.wanted = next(self.claims), next(self.fold)[0]
 
@@ -253,10 +253,10 @@ class _Pass:
                 self.next = None
             return leaf, self.furthest
 
-    def record(self, path: int, states) -> None:
+    def record(self, path: int, state) -> None:
         with self.lock:
             if path > self.furthest[0]:
-                self.furthest = (path, states)
+                self.furthest = (path, state)
 
     def done(self, a: int, sums: np.ndarray) -> None:
         with self.lock:
@@ -276,10 +276,10 @@ def _reduce_policies(laws: List[_Policies], cfg: McConfig,
                      stop: threading.Event) -> List[McEstimate]:
     """Per policy of the laws (one per thread, each over the whole grid):
     np.mean of every path's terminal log wealth and np.std(units, ddof=1) /
-    sqrt(units.size), bit for bit. In each pass a thread restores its
-    generators to the furthest record, draws normals into z (antithetic:
-    pairs (z, -z) from half as many) and uniforms into buf (none at h = 0)
-    up to its leaf's end, and maps the leaf into buf one policy at a time."""
+    sqrt(units.size), bit for bit. In each pass a thread restores its normal
+    generator to the furthest record, draws normals into z (antithetic: pairs
+    (z, -z) from half as many) up to its leaf's end, draws the leaf's uniforms
+    into buf (none at h = 0) and maps the leaf into buf one policy at a time."""
     n, h, T = cfg.n_paths, laws[0].h, laws[0].T
     # antithetic pairs are correlated by construction; the independent
     # statistical unit is the pair average, reduced over the tree of n/2
@@ -287,29 +287,29 @@ def _reduce_policies(laws: List[_Policies], cfg: McConfig,
     n_units, size = n // width, min(n, _LEAF_PATHS)
     buffers = [np.empty((2, size)) for _ in laws]
     normals = [np.empty(size // 2) if cfg.antithetic else z for z, _ in buffers]
-    generators = [[np.random.Generator(np.random.Philox(key=(stream << 64) | cfg.seed))
-                   for stream in (_Z_STREAM, _TAU_STREAM)[:1 + (h > 0.0)]] for _ in laws]
-    start = tuple(g.bit_generator.state for g in generators[0])
+    z_key, u_key = ((stream << 64) | cfg.seed for stream in (_Z_STREAM, _TAU_STREAM))
+    generators = [np.random.Generator(np.random.Philox(key=z_key)) for _ in laws]
+    start = generators[0].bit_generator.state
 
     def tree_sums(n_elems, paths_per, finish=None):
         # per policy, np.add.reduce over n_elems averages of paths_per paths
         walk = _Pass(n_elems, _LEAF_PATHS // paths_per, start, stop)
 
         def work(k):
-            law, (z, buf), gens = laws[k], buffers[k], generators[k]
+            law, (z, buf), gen = laws[k], buffers[k], generators[k]
             with _quiet():
                 while (claim := walk.claim()) is not None:
-                    (a, b), (p, states) = claim
-                    for g, state in zip(gens, states):
-                        g.bit_generator.state = state
+                    (a, b), (p, gen.bit_generator.state) = claim     # the furthest record
                     lo, hi = paths_per * a, paths_per * b
                     while p < hi:       # forward to the leaf, then the leaf
                         q = hi if p >= lo else min(lo, p + size)
-                        gens[0].standard_normal(out=normals[k][:(q - p) // width])
-                        if h > 0.0:
-                            gens[1].random(out=buf[:q - p])
+                        gen.standard_normal(out=normals[k][:(q - p) // width])
                         p = q
-                        walk.record(p, tuple(g.bit_generator.state for g in gens))
+                        walk.record(p, gen.bit_generator.state)
+                    if h > 0.0:     # four uniforms a counter step; lo is a multiple of 8
+                        uniforms = np.random.Generator(np.random.Philox(key=u_key,
+                                                                        counter=lo // 4))
+                        uniforms.random(out=buf[:hi - lo])
                     leaf = z[:hi - lo]
                     if cfg.antithetic:
                         leaf[0::2] = normals[k][:leaf.size // 2]

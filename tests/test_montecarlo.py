@@ -386,7 +386,7 @@ def _leaf_count(n_paths):
 
 def _spy_claims(monkeypatch):
     """Record every claimed leaf as (thread, first path, end path, the path
-    its thread's draws start from)."""
+    its thread's normal draws start from)."""
     claims, init, claim = [], montecarlo._Pass.__init__, montecarlo._Pass.claim
 
     def spy_init(walk, n, cap, *args):
@@ -707,10 +707,10 @@ class TestNormalStream:
         if h == 0.0:
             assert drawn == []      # no path can default
             return
-        # the mean and the deviations, plus the uniforms drawn forward
-        forward = sum(lo - start for _, lo, _, start in claims)
-        assert sum(drawn) == 2 * self.N_PATHS + forward
-        assert max(drawn) <= LEAF
+        # the mean and the deviations: one draw a leaf, from the leaf's first
+        # path, so no thread draws uniforms forward
+        assert sorted(drawn) == sorted(hi - lo for _, lo, hi, _ in claims)
+        assert sum(drawn) == 2 * self.N_PATHS and max(drawn) <= LEAF
 
     def test_a_slow_share_does_not_hold_the_others_back(self, monkeypatch):
         # the caller holds its first leaf until the helper has read every
