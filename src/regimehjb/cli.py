@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -519,6 +520,10 @@ def main(argv=None) -> int:
                        help="override the f(t) coefficient variant (paper or derived)")
     args = parser.parse_args(argv)
 
+    # a warning prints as one line naming no file of the program; the filters
+    # still apply (-W error raises), and a caller that records still records
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *at: f"{category.__name__}: {message}\n"
     try:
         flags = {"mc.seed": args.seed, "variant": args.variant}
         cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
@@ -551,6 +556,8 @@ def main(argv=None) -> int:
         import traceback            # numpy does not load it; only this path needs it
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        warnings.formatwarning = format_warning
     return EXIT_OK if all(g["pass"] for g in report.get("gates", [])) else EXIT_GATE_FAIL
 
 

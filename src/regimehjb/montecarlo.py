@@ -14,14 +14,14 @@ Algorithms, 2nd ed., 4.2), draws a leaf's normals and uniforms again,
 inverts only the uniforms that can give a default before T and maps the
 leaf under every policy; leaf sums are added in tree order, so estimates
 are bitwise np.mean and np.std(ddof=1) of the per-policy formula. Threads
-claim the leaves in tree order. A uniform takes one Philox word (Salmon et
-al., SC'11), so a leaf's uniforms start at its first path's counter; a
-normal takes a varying number, so a pass records the normal generator's
-state at the furthest path drawn, and a thread restores it and draws
-forward to its leaf rather than wait for another. Results are bitwise
-independent of the worker count and claim order, no public function runs
-off the caller's thread, an error in a thread stops the others at their
-next claim, and memory stays a few leaves a thread at any path count.
+claim the leaves in tree order, and a claim draws its leaf's normals from
+the pass's one normal stream before the next claim, so each pass draws
+that stream once, in path order. A uniform takes one Philox word (Salmon
+et al., SC'11), so a leaf's uniforms start at its first path's counter and
+are drawn outside the claim. Results are bitwise independent of the worker
+count and claim order, no public function runs off the caller's thread, an
+error in a thread stops the others at their next claim, and memory stays a
+few leaves a thread at any path count.
 """
 
 from __future__ import annotations
@@ -233,17 +233,21 @@ def _tree_sum(n: int, cap: int, leaf_sum):
 
 
 class _Pass:
-    """One pass's leaves, claimed in tree order by whichever thread is free,
-    and the fold of their sums, which holds those ahead of the first missing."""
+    """One pass's leaves of averages of paths_per paths, claimed in tree
+    order by whichever thread is free, each drawing its normals (one per
+    width paths) from the pass's one normal stream as it is claimed, and the
+    fold of their sums, which holds those ahead of the first missing."""
 
-    def __init__(self, n: int, cap: int, start, stop: threading.Event):
+    def __init__(self, n: int, paths_per: int, width: int, normals: np.random.Generator,
+                 stop: threading.Event):
         self.lock, self.stop, self.sums = threading.Lock(), stop, {}
-        self.furthest = (0, start)    # (path, normal generator's state there)
+        self.paths_per, self.width, self.normals = paths_per, width, normals
+        cap = _LEAF_PATHS // paths_per
         self.claims, self.fold = _fold(n, cap), _fold(n, cap)
         self.next, self.wanted = next(self.claims), next(self.fold)[0]
 
-    def claim(self):        # the next leaf (a, b) and the furthest record, or None
-        with self.lock:
+    def claim(self, out: np.ndarray):   # the next leaf (a, b), its normals in out, or None
+        with self.lock:     # the lock keeps the stream in path order
             leaf = self.next
             if leaf is None or self.stop.is_set():
                 return None
@@ -251,12 +255,9 @@ class _Pass:
                 self.next = self.claims.send(0.0)    # a fold of zeros walks the leaves
             except StopIteration:
                 self.next = None
-            return leaf, self.furthest
-
-    def record(self, path: int, state) -> None:
-        with self.lock:
-            if path > self.furthest[0]:
-                self.furthest = (path, state)
+            a, b = leaf
+            self.normals.standard_normal(out=out[:self.paths_per * (b - a) // self.width])
+            return leaf
 
     def done(self, a: int, sums: np.ndarray) -> None:
         with self.lock:
@@ -276,10 +277,10 @@ def _reduce_policies(laws: List[_Policies], cfg: McConfig,
                      stop: threading.Event) -> List[McEstimate]:
     """Per policy of the laws (one per thread, each over the whole grid):
     np.mean of every path's terminal log wealth and np.std(units, ddof=1) /
-    sqrt(units.size), bit for bit. In each pass a thread restores its normal
-    generator to the furthest record, draws normals into z (antithetic: pairs
-    (z, -z) from half as many) up to its leaf's end, draws the leaf's uniforms
-    into buf (none at h = 0) and maps the leaf into buf one policy at a time."""
+    sqrt(units.size), bit for bit. In each pass a thread's claim draws its
+    leaf's normals into z (antithetic: pairs (z, -z) from half as many), then
+    the thread draws the leaf's uniforms into buf (none at h = 0) and maps the
+    leaf into buf one policy at a time."""
     n, h, T = cfg.n_paths, laws[0].h, laws[0].T
     # antithetic pairs are correlated by construction; the independent
     # statistical unit is the pair average, reduced over the tree of n/2
@@ -288,24 +289,18 @@ def _reduce_policies(laws: List[_Policies], cfg: McConfig,
     buffers = [np.empty((2, size)) for _ in laws]
     normals = [np.empty(size // 2) if cfg.antithetic else z for z, _ in buffers]
     z_key, u_key = ((stream << 64) | cfg.seed for stream in (_Z_STREAM, _TAU_STREAM))
-    generators = [np.random.Generator(np.random.Philox(key=z_key)) for _ in laws]
-    start = generators[0].bit_generator.state
 
     def tree_sums(n_elems, paths_per, finish=None):
         # per policy, np.add.reduce over n_elems averages of paths_per paths
-        walk = _Pass(n_elems, _LEAF_PATHS // paths_per, start, stop)
+        walk = _Pass(n_elems, paths_per, width,
+                     np.random.Generator(np.random.Philox(key=z_key)), stop)
 
         def work(k):
-            law, (z, buf), gen = laws[k], buffers[k], generators[k]
+            law, (z, buf) = laws[k], buffers[k]
             with _quiet():
-                while (claim := walk.claim()) is not None:
-                    (a, b), (p, gen.bit_generator.state) = claim     # the furthest record
+                while (claim := walk.claim(normals[k])) is not None:
+                    a, b = claim
                     lo, hi = paths_per * a, paths_per * b
-                    while p < hi:       # forward to the leaf, then the leaf
-                        q = hi if p >= lo else min(lo, p + size)
-                        gen.standard_normal(out=normals[k][:(q - p) // width])
-                        p = q
-                        walk.record(p, gen.bit_generator.state)
                     if h > 0.0:     # four uniforms a counter step; lo is a multiple of 8
                         uniforms = np.random.Generator(np.random.Philox(key=u_key,
                                                                         counter=lo // 4))
@@ -352,10 +347,12 @@ def sweep(params: MarketParams, loss: DefaultLossModel, pi_grid,
           cfg: McConfig) -> Tuple[List[Tuple[float, McEstimate]], int]:
     """Estimate every policy on the grid with common random numbers (one
     draw set, so the empirical argmax is a low-variance comparison) by
-    min(CPUs, leaves, policies, _MAX_WORKERS) threads (a lone policy's map
-    cannot hide a leaf's draws), each with a _Policies over the whole grid
-    built on the caller's thread before any draw. Returns the estimates and
-    the maximizing index (ties resolve to the smallest pi)."""
+    min(CPUs, leaves, policies, _MAX_WORKERS) threads, each with a _Policies
+    over the whole grid built on the caller's thread before any draw. The
+    threads take turns drawing normals, one claimed leaf at a time, and map
+    their leaves side by side; a lone policy stays on the caller's thread,
+    where a short estimate such as verify's runs fastest. Returns the
+    estimates and the maximizing index (ties resolve to the smallest pi)."""
     pi_arr = np.asarray(pi_grid, dtype=float)
     if pi_arr.ndim != 1 or pi_arr.size == 0:
         raise ValueError("pi_grid must be a non-empty 1-D array")

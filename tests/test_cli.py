@@ -371,6 +371,21 @@ class TestCommandLine:
         assert "CFL" not in run.stderr and run.returncode in (0, 1)
         warned = [line for line in run.stderr.splitlines() if "Warning: " in line]
         assert len(warned) == 1 and "RuntimeWarning: hazard*dt = 0.989 > 0.1" in warned[0]
+        # the warning is all of stderr, one line that names no file of the program
+        assert run.stderr == warned[0] + "\n" and warned[0].startswith("RuntimeWarning: ")
+        assert "hjb.py" not in run.stderr and os.sep not in run.stderr
+
+    def test_a_recorded_warning_is_not_printed_and_the_format_is_restored(self, tmp_path,
+                                                                         capsys):
+        cfg = base_config()
+        cfg["market"]["h"] = 30.0        # h dt = 0.15 on 41x200
+        cfg["grid"] = {"n_x": 41, "n_t": 200}
+        format_warning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["hjb-solve", "--config", write_config(tmp_path, cfg)]) == 0
+        assert [str(w.message)[:20] for w in caught] == ["hazard*dt = 0.15 > 0"]
+        assert capsys.readouterr().err == "" and warnings.formatwarning is format_warning
 
     def test_courant_number_above_one_is_a_cfl_violation(self, tmp_path):
         # mu = r = 10: the drift alone moves r dt / dx = 5 cells a step, and

@@ -385,23 +385,16 @@ def _leaf_count(n_paths):
 
 
 def _spy_claims(monkeypatch):
-    """Record every claimed leaf as (thread, first path, end path, the path
-    its thread's normal draws start from)."""
-    claims, init, claim = [], montecarlo._Pass.__init__, montecarlo._Pass.claim
+    """Record every claimed leaf as (thread, first path, end path)."""
+    claims, claim = [], montecarlo._Pass.claim
 
-    def spy_init(walk, n, cap, *args):
-        walk.paths_per = montecarlo._LEAF_PATHS // cap
-        init(walk, n, cap, *args)
-
-    def spy_claim(walk):
-        got = claim(walk)
+    def spy_claim(walk, out):
+        got = claim(walk, out)
         if got is not None:
-            (a, b), (start, _) = got
-            claims.append((threading.current_thread(), walk.paths_per * a,
-                           walk.paths_per * b, start))
+            a, b = got
+            claims.append((threading.current_thread(), walk.paths_per * a, walk.paths_per * b))
         return got
 
-    monkeypatch.setattr(montecarlo._Pass, "__init__", spy_init)
     monkeypatch.setattr(montecarlo._Pass, "claim", spy_claim)
     return claims
 
@@ -437,8 +430,8 @@ class TestSweepReferenceEquivalence:
 
     def test_many_workers_switching_often_stay_bitwise(self, monkeypatch):
         # more threads than cores, claiming leaves of 256 paths and switching
-        # every microsecond: a lost or misplaced leaf sum or generator record
-        # would break the equality (the pair-average tree's leaves need >= 128)
+        # every microsecond: a lost or misplaced leaf sum or normal draw would
+        # break the equality (the pair-average tree's leaves need >= 128)
         monkeypatch.setattr(montecarlo, "_LEAF_PATHS", 256)
         workers = _WorkerSpy(monkeypatch, max_workers=32, cpus=32)
         grid = np.linspace(0.0, 3.0, 25).tolist()
@@ -588,7 +581,7 @@ class TestLeafwiseReduction:
         read, read_leaf = [], montecarlo._Policies.leaf
 
         def spy(law, z, offsets, tau):
-            lo = next(lo for thread, lo, _, _ in reversed(claims)
+            lo = next(lo for thread, lo, _ in reversed(claims)
                       if thread is threading.current_thread())
             read.append((lo, lo + z.size))
             assert z.tobytes() == z_ref[lo:lo + z.size].tobytes()
@@ -617,13 +610,15 @@ class TestLeafwiseReduction:
                   else [leaves_of(n_paths, 1)] * 2)
         assert workers.passes == [2] * len(passes)
         every_leaf = sorted(leaf for walk in passes for leaf in walk)
-        assert sorted((lo, hi) for _, lo, hi, _ in claims) == sorted(read) == every_leaf
+        assert sorted((lo, hi) for _, lo, hi in claims) == sorted(read) == every_leaf
 
 
-def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
+def _spy_normals(monkeypatch, before_draw, before_uniforms=None, after_draw=None):
     """Route the module's generators through a wrapper that calls
-    before_draw(generator, count) ahead of each normal draw of count numbers,
-    and before_uniforms(generator, count) ahead of each uniform draw."""
+    before_draw(generator, count) ahead of each normal draw of count numbers
+    into an array, after_draw(generator, out) once it is drawn into out, and
+    before_uniforms(generator, count) ahead of each uniform draw. A normal
+    draw that returns a new array (the reference's) is not seen."""
     generator = np.random.Generator
 
     class Spy:
@@ -637,8 +632,13 @@ def _spy_normals(monkeypatch, before_draw, before_uniforms=None):
             return self.real.random(*args, out=out, **kwargs)
 
         def standard_normal(self, *args, out=None, **kwargs):
+            if out is None:
+                return self.real.standard_normal(*args, **kwargs)
             before_draw(self, out.size)
-            return self.real.standard_normal(*args, out=out, **kwargs)
+            self.real.standard_normal(*args, out=out, **kwargs)
+            if after_draw is not None:
+                after_draw(self, out)
+            return out
 
     monkeypatch.setattr(montecarlo.np.random, "Generator", Spy)
 
@@ -672,8 +672,8 @@ class TestNormalStream:
 
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     def test_normals_are_drawn_once_per_pass_at_any_worker_count(self, workers, antithetic):
-        # each pass draws each leaf's normals once in all, plus the normals a
-        # thread draws forward from the furthest record to the leaf it claimed
+        # each claim draws its leaf's normals, so each pass draws each leaf's
+        # normals once in all
         drawn, lock = [], threading.Lock()
 
         def record(generator, count):
@@ -687,10 +687,45 @@ class TestNormalStream:
         # plain: the mean and the deviations; antithetic: the mean, the pair
         # averages' mean and their deviations, from half as many normals
         passes, width = (3, 2) if antithetic else (2, 1)
-        forward = sum(lo - start for _, lo, _, start in claims) // width
         assert workers.passes == [workers.expect(self.N_PATHS)] * passes
-        assert sum(drawn) == passes * self.N_PATHS // width + forward
-        assert max(drawn) <= LEAF // width and (workers.cap > 1 or forward == 0)
+        assert sum(drawn) == passes * self.N_PATHS // width
+        assert len(drawn) == len(claims) and max(drawn) <= LEAF // width
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("max_workers", [1, 2, 16])
+    def test_a_pass_draws_one_normal_stream_in_path_order(self, monkeypatch, max_workers,
+                                                          antithetic):
+        # leaves of 256 paths, threads switching every microsecond, and one
+        # thread asleep inside a draw: each pass's normal draws, joined in the
+        # order they were made, are the stream's first n // width normals, and
+        # the sweep keeps the reference's bits
+        monkeypatch.setattr(montecarlo, "_LEAF_PATHS", 256)
+        workers = _WorkerSpy(monkeypatch, max_workers, cpus=max_workers)
+        generator, counts, streams = np.random.Generator, [], {}
+
+        def sleep_once(stream, count):
+            counts.append(count)
+            if len(counts) == 3:        # the first pass's third draw
+                time.sleep(0.01)
+
+        def record(stream, out):
+            streams.setdefault(stream, []).append(out.copy())
+
+        _spy_normals(monkeypatch, sleep_once, after_draw=record)
+        cfg = McConfig(n_paths=20_006, seed=14, antithetic=antithetic)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_bitwise_sweep(ACCEPT, EXP, GRIDS[EXP], cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        width = 2 if antithetic else 1
+        expected = generator(np.random.Philox(key=(2 << 64) | cfg.seed)).standard_normal(
+            cfg.n_paths // width)
+        passes = [np.concatenate(draws) for draws in streams.values()]
+        assert len(passes) == len(workers.passes) == (3 if antithetic else 2)
+        assert all(drawn.tobytes() == expected.tobytes() for drawn in passes)
+        assert set(workers.passes) == {workers.expect(cfg.n_paths)}
 
     @pytest.mark.parametrize("h", [0.0, 0.02], ids=["no-hazard", "hazard"])
     def test_uniforms_are_drawn_once_per_pass_and_share_unless_h_is_zero(self, workers, h):
@@ -709,13 +744,14 @@ class TestNormalStream:
             return
         # the mean and the deviations: one draw a leaf, from the leaf's first
         # path, so no thread draws uniforms forward
-        assert sorted(drawn) == sorted(hi - lo for _, lo, hi, _ in claims)
+        assert sorted(drawn) == sorted(hi - lo for _, lo, hi in claims)
         assert sum(drawn) == 2 * self.N_PATHS and max(drawn) <= LEAF
 
     def test_a_slow_share_does_not_hold_the_others_back(self, monkeypatch):
         # the caller holds its first leaf until the helper has read every
-        # other leaf of the pass: the helper draws forward past the caller's
-        # leaf where it must, and waits on no thread
+        # other leaf of the pass: the caller's normals were drawn with its
+        # claim, so the helper claims and draws every later leaf and waits on
+        # no thread
         _WorkerSpy(monkeypatch, max_workers=2, cpus=2)
         caller, by_caller = threading.current_thread(), []
         helper_read_seven = threading.Event()
@@ -757,8 +793,8 @@ class TestNormalStream:
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("fail_at", [1, 3, 6])
     def test_a_failing_draw_is_raised_and_leaves_no_thread(self, workers, antithetic, fail_at):
-        # a draw that fails, forward or for a claimed leaf, fails its thread
-        # like any error of the thread
+        # a draw that fails, in any thread's claim, fails its thread like any
+        # error of the thread
         calls, lock = [], threading.Lock()
 
         def before_draw(generator, count):
@@ -781,8 +817,8 @@ class TestLeafClaims:
     @pytest.mark.parametrize("max_workers", [2, 3])
     def test_bits_do_not_depend_on_the_claim_order(self, monkeypatch, max_workers,
                                                    antithetic):
-        # the caller stalls on every leaf it reads, so the helpers finish the
-        # leaves after it first and draw forward past it
+        # the caller stalls on every leaf it reads, so the helpers claim and
+        # finish the leaves after it first
         _WorkerSpy(monkeypatch, max_workers, cpus=max_workers)
         caller, read_leaf, done = (threading.current_thread(), montecarlo._Policies.leaf,
                                    montecarlo._Pass.done)
@@ -804,46 +840,36 @@ class TestLeafClaims:
         assert max(waiting) > 0
 
     def test_a_lone_policy_runs_on_the_callers_thread(self, monkeypatch):
-        # one policy's map cannot hide a leaf's draws: a second thread would
-        # only draw the same leaves again
+        # a lone policy's estimate (verify's) stays on the caller's thread
         workers = _WorkerSpy(monkeypatch, max_workers=16, cpus=16)
         estimate(ACCEPT, 1.0, EXP, McConfig(n_paths=4 * LEAF, seed=1))
         assert workers.passes == [1, 1] and workers.threads == {threading.current_thread()}
 
     @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_a_pass_holds_one_state_record_at_hundreds_of_leaves(self, monkeypatch,
-                                                                 max_workers):
-        # leaves of 256 paths, about 400 a pass: the pass keeps the generator
-        # states at one path, which only moves forward, and folds the leaf
-        # sums with one partial sum per level of the tree; one thread's sums
-        # never wait
+    def test_a_pass_holds_few_sums_at_hundreds_of_leaves(self, monkeypatch, max_workers):
+        # leaves of 256 paths, about 400 a pass: the pass folds the leaf sums
+        # with one partial sum per level of the tree; one thread's sums never
+        # wait
         monkeypatch.setattr(montecarlo, "_LEAF_PATHS", 256)
         workers = _WorkerSpy(monkeypatch, max_workers, cpus=2)
-        record, done = montecarlo._Pass.record, montecarlo._Pass.done
-        furthest, held, depths = {}, [], []
-
-        def spy_record(walk, path, states):
-            record(walk, path, states)
-            with walk.lock:
-                assert furthest.get(walk, 0) <= walk.furthest[0]
-                furthest[walk] = walk.furthest[0]
+        done, walks, held, depths = montecarlo._Pass.done, set(), [], []
 
         def spy_done(walk, a, sums):
             done(walk, a, sums)
             with walk.lock:
+                walks.add(walk)
                 held.append(len(walk.sums))
                 depth, fold = 0, walk.fold
                 while fold is not None:
                     depth, fold = depth + 1, fold.gi_yieldfrom
                 depths.append(depth)
 
-        monkeypatch.setattr(montecarlo._Pass, "record", spy_record)
         monkeypatch.setattr(montecarlo._Pass, "done", spy_done)
         n_paths = 400 * 256 + 6
         _assert_bitwise_sweep(ACCEPT, EXP, GRIDS[EXP], McConfig(n_paths=n_paths, seed=13))
         leaves = _leaf_count(n_paths)
         assert workers.passes == [workers.expect(n_paths)] * 2 and leaves >= 400
-        assert len(held) == 2 * leaves and len(furthest) == 2
+        assert len(held) == 2 * leaves and len(walks) == 2
         assert max(depths) <= math.ceil(math.log2(leaves)) + 1
         assert max_workers > 1 or max(held) == 0
 
