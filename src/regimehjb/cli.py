@@ -10,13 +10,14 @@ judges the whole config before any work, including the keys only another
 command reads (sweep: its output path too). Exit codes: 0 all gates pass,
 1 gate failure, 2 configuration error (wherever it is found: the schema, an
 integer too large for a float, a non-finite number, state grid or control
-node, a CFL violation, control nodes outside the bounds, a linear-loss
-weight pi >= 1, a step size that gives no usable node count, an RK4 step
-past its stability limit, a log(w0) outside [x_min, x_max], a state grid
-with no interior window, an array too large to allocate, an output path that
-cannot be written), 3 numerical error (a non-finite quantity met during a
-solve), 4 internal error (a traceback, to be reported as a bug; a computed
-report number that is not finite is one, and it writes no report).
+node, a CFL violation, a hazard*dt warning raised as an error, control
+nodes outside the bounds, a linear-loss weight pi >= 1, a step size that
+gives no usable node count, an RK4 step past its stability limit, a
+log(w0) outside [x_min, x_max], a state grid with no interior window, an
+array too large to allocate, an output path that cannot be written), 3
+numerical error (a non-finite quantity met during a solve), 4 internal
+error (a traceback, to be reported as a bug; a computed report number that
+is not finite is one, and it writes no report).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .closedform import (FCoefficientVariant, expected_log_utility_exact,
                          f_closed_form, j_after, optimal_weight)
-from .hjb import GridSpec, solve_system, validate_grid_for
+from .hjb import HAZARD_DT_WARN, GridSpec, solve_system, validate_grid_for
 from .model import (DEFAULT_CONTROL_BOUNDS, ConfigError, DefaultLossModel,
                     MarketParams, NumericalError, merton_as_generic)
 from .montecarlo import McConfig, estimate, sweep
@@ -349,6 +350,16 @@ def cmd_ode_check(cfg: dict) -> dict:
     }
 
 
+def _hazard_n_t(hazard: float, horizon: float) -> int:
+    """The least n_t whose step keeps hazard * dt within HAZARD_DT_WARN."""
+    n_t = max(1, math.ceil(hazard * horizon / HAZARD_DT_WARN))
+    while n_t > 1 and hazard * (horizon / (n_t - 1)) <= HAZARD_DT_WARN:
+        n_t -= 1
+    while hazard * (horizon / n_t) > HAZARD_DT_WARN:
+        n_t += 1
+    return n_t
+
+
 def _hjb_route(cfg: dict, params: MarketParams, loss: DefaultLossModel):
     """Grid solve summarized at the node nearest x0 = log w0, plus the t = 0
     offsets -v_pre - x (each node's estimate of f(0)) on the interior window
@@ -356,12 +367,19 @@ def _hjb_route(cfg: dict, params: MarketParams, loss: DefaultLossModel):
     problem = merton_as_generic(params, loss, tuple(cfg["control_bounds"]))
     grid = build_grid(cfg)
     mask = interior_nodes_mask(grid, loss, grid.control_nodes)   # before the solve
-    surface = solve_system(problem, grid)
+    try:
+        surface = solve_system(problem, grid)
+    except RuntimeWarning as exc:     # raised by an error filter (-W error)
+        if not str(exc).startswith("hazard*dt"):
+            raise
+        raise ConfigError(f"{exc}; need grid.n_t >= "
+                          f"{_hazard_n_t(problem.hazard, problem.horizon)}") from None
     x = grid.x_nodes
     j0 = int(np.argmin(np.abs(x - math.log(params.w0))))
     mask[j0] = True
+    # one node of the policy: surface.policy would build the whole float surface
     summary = {"f0_hjb": float(-surface.v_pre[0, j0] - x[j0]), "x0": float(x[j0]),
-               "policy_at_x0": float(surface.policy[0, j0])}
+               "policy_at_x0": float(grid.control_nodes[surface.policy_index[0, j0]])}
     return summary, -surface.v_pre[0, mask] - x[mask]
 
 

@@ -35,6 +35,12 @@ this path does not run to its end (no process to fork, a lost child, an
 error in the caller's pre march other than a warning, which the serial path
 would raise too), the child is killed and reaped and solve_system runs
 those two, with their errors; a finished pre march warns.
+
+The pre march records each row's minimizer as the index of its control
+node, in the narrowest unsigned integer type that holds n_u - 1 (one byte
+up to 256 nodes), not as a float surface eight times its size: the solved
+surface keeps these indices, and its policy property builds the float
+surface from them, anew on each access.
 """
 
 from __future__ import annotations
@@ -134,18 +140,29 @@ class GridSpec:
 class ValueSurface:
     """Solved surfaces: (n_t+1, n_x) values per regime plus the policy grid.
 
+    The policy is held as policy_index, the index into grid.control_nodes
+    of each node's minimizing control, in an unsigned integer type; the
+    policy property builds the float surface grid.control_nodes[policy_index]
+    on each access, so a reader of one value should index the nodes itself.
     The arrays given are frozen in place, not copied: the solver hands over
     surfaces of its own, and a copy would double their memory.
     """
 
     v_pre: np.ndarray
     v_after: np.ndarray
-    policy: np.ndarray
+    policy_index: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        for arr in (self.v_pre, self.v_after, self.policy):
+        for arr in (self.v_pre, self.v_after, self.policy_index):
             arr.setflags(write=False)
+
+    @property
+    def policy(self) -> np.ndarray:
+        """The minimizing control per node, as a new read-only float surface."""
+        policy = self.grid.control_nodes[self.policy_index]
+        policy.setflags(write=False)
+        return policy
 
 
 def validate_grid_for(problem: RegimeControlProblem, grid: GridSpec) -> None:
@@ -367,8 +384,10 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
            out: np.ndarray = None, handoff=None):
     """Backward explicit steps v[i] = v[i+1] + dt * min_u H, H read at t[i+1].
 
-    Returns (v, policy); policy is None for the post regime, called without
-    v_after. v is written into out when it is given. handoff(i, kernel), when
+    Returns (v, index): index[i] holds the node index of each state node's
+    minimizing control, in the narrowest unsigned type that indexes the
+    control nodes, and is None for the post regime, called without v_after.
+    v is written into out when it is given. handoff(i, kernel), when
     given, runs once row i is stepped and checked; the march stops there if it
     returns True. A pre march that finishes warns if hazard * dt is coarse.
     """
@@ -377,7 +396,8 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
     times = grid.times(problem.horizon)
     v = np.empty((grid.n_t + 1, grid.n_x)) if out is None else out
     v[-1] = problem.terminal_cost(grid.x_nodes)
-    policy = None if v_after is None else np.empty_like(v)
+    index = None if v_after is None else np.empty(
+        v.shape, dtype=np.min_scalar_type(grid.control_nodes.size - 1))
     # an overflow or a NaN reaches max(vol^2) or the row, whose checks raise on it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_t - 1, -1, -1):
@@ -385,19 +405,19 @@ def _march(problem: RegimeControlProblem, grid: GridSpec, v_after: np.ndarray = 
                                None if v_after is None else v_after[i + 1], v[i])
             if not np.isfinite(v[i]).all():
                 raise NumericalError(f"the {regime} surface is not finite at t={times[i]:.6g}")
-            if policy is not None:
-                np.take(grid.control_nodes, pick, out=policy[i])
+            if index is not None:
+                index[i] = pick
             if handoff is not None and handoff(i, kernel):
                 break
-    if policy is not None:
+    if index is not None:
         # the terminal row's Hamiltonian is the one the first step minimized
-        policy[-1] = policy[-2]
+        index[-1] = index[-2]
         hazard_dt = problem.hazard * kernel.dt
         if hazard_dt > HAZARD_DT_WARN:
             warnings.warn(f"hazard*dt = {hazard_dt:.3g} > {HAZARD_DT_WARN}; the one-step "
                           "switch probability is too coarse for the explicit coupling",
                           RuntimeWarning)
-    return v, policy
+    return v, index
 
 
 # slots in the post worker's ring of jump rows; rows next to the caller's last
@@ -546,6 +566,13 @@ def solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
     the Hamiltonian evaluated on the terminal data itself. A march that ends
     warns if hazard * dt > HAZARD_DT_WARN; one that fails raises, unwarned.
     """
+    v_pre, index = _solve_pre(problem, v_after, grid)
+    return v_pre, grid.control_nodes[index]
+
+
+def _solve_pre(problem: RegimeControlProblem, v_after: np.ndarray,
+               grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """solve_pre with the policy as control node indices (see _march)."""
     validate_grid_for(problem, grid)
     v_after = np.asarray(v_after, dtype=float)
     if v_after.shape != (grid.n_t + 1, grid.n_x):
@@ -563,7 +590,7 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
     Each solve checks the control nodes; its steps check CFL and finiteness.
     The post regime is marched in a forked worker beside the pre march;
     whenever that does not run to its end, solve_after then solve_pre give
-    the result (see the module docstring).
+    the result (see the module docstring), the policy kept as node indices.
     """
     v_pre = None
     if (sys.platform.startswith("linux") and hasattr(os, "fork")
@@ -574,7 +601,7 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
             v_after = _march(problem, grid, out=worker.rows, handoff=worker.post_row)[0]
             if worker.pid:            # the caller, beside a forked worker
                 try:
-                    v_pre, policy = _march(problem, grid, v_after, handoff=worker.pre_row)
+                    v_pre, index = _march(problem, grid, v_after, handoff=worker.pre_row)
                 except Warning:     # raised as an error: the serial path would raise it too
                     raise
                 except Exception:   # solved again below
@@ -583,5 +610,5 @@ def solve_system(problem: RegimeControlProblem, grid: GridSpec) -> ValueSurface:
             worker.stop()
     if v_pre is None:
         v_after = solve_after(problem, grid)
-        v_pre, policy = solve_pre(problem, v_after, grid)
-    return ValueSurface(v_pre=v_pre, v_after=v_after, policy=policy, grid=grid)
+        v_pre, index = _solve_pre(problem, v_after, grid)
+    return ValueSurface(v_pre=v_pre, v_after=v_after, policy_index=index, grid=grid)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regimehjb import cli, model
+from regimehjb.hjb import ValueSurface
 
 ACCEPT_MARKET = {"mu": 0.08, "sigma": 0.2, "r": 0.02, "h": 0.02,
                  "horizon_T": 1.0, "w0": 1.0}
@@ -386,6 +387,41 @@ class TestCommandLine:
             assert cli.main(["hjb-solve", "--config", write_config(tmp_path, cfg)]) == 0
         assert [str(w.message)[:20] for w in caught] == ["hazard*dt = 0.15 > 0"]
         assert capsys.readouterr().err == "" and warnings.formatwarning is format_warning
+
+    @pytest.mark.parametrize("command", ["hjb-solve", "verify"])
+    def test_coarse_hazard_step_under_an_error_filter_exits_2_naming_n_t(self, tmp_path,
+                                                                        capsys, command):
+        cfg = base_config()
+        cfg["market"]["h"] = 30.0        # h dt = 0.15 on 41x200; n_t = 300 gives 0.1
+        cfg["grid"] = {"n_x": 41, "n_t": 200}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "configuration error: hazard*dt = 0.15 > 0.1; the "
+                                       "one-step switch probability is too coarse for the "
+                                       "explicit coupling; need grid.n_t >= 300\n")
+        cfg["grid"]["n_t"] = 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+        assert code in (0, 1) and capsys.readouterr().err == ""
+
+    def test_hjb_solve_reads_one_policy_node_not_the_float_surface(self, monkeypatch):
+        cfg = cli.resolve_config(base_config(grid={"n_x": 41, "n_t": 200}))
+        solve, surfaces = cli.solve_system, []
+        monkeypatch.setattr(cli, "solve_system",
+                            lambda *a: surfaces.append(solve(*a)) or surfaces[-1])
+
+        def forbidden(surface):
+            raise AssertionError("the float policy surface was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueSurface, "policy", property(forbidden))
+            report = cli.cmd_hjb_solve(cfg)
+        (surf,) = surfaces
+        j0 = surf.grid.x_nodes.tolist().index(report["x0"])
+        assert report["policy_at_x0"] == surf.policy[0, j0]
 
     def test_courant_number_above_one_is_a_cfl_violation(self, tmp_path):
         # mu = r = 10: the drift alone moves r dt / dx = 5 cells a step, and

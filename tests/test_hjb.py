@@ -4,6 +4,7 @@ import mmap
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1070,3 +1071,67 @@ class TestSharedJumpRows:
         prob = dataclasses.replace(generic_problem(lambda t, x, u: x - u), hazard=0.0)
         solve_system(prob, EQUIV_GRID)
         assert len(forks) == 1 and len(pipes) == 1
+
+
+# --------------------------------------------------------------------------
+# the pre-switch policy is held as control node indices
+# --------------------------------------------------------------------------
+
+class TestPolicyIndex:
+    @pytest.mark.parametrize("n_u, dtype", [(1, np.uint8), (61, np.uint8), (256, np.uint8),
+                                            (257, np.uint16), (300, np.uint16)])
+    def test_index_type_is_the_narrowest_that_holds_the_nodes(self, n_u, dtype):
+        # pi* = 1 at ACCEPT, the top node: the picks reach n_u - 1
+        grid = dataclasses.replace(small_grid(n_x=41, n_t=150),
+                                   control_nodes=np.linspace(0.0, 1.0, n_u))
+        prob = merton_problem()
+        surf = solve_system(prob, grid)
+        assert surf.policy_index.dtype == dtype
+        assert surf.policy_index.shape == surf.v_pre.shape
+        assert surf.policy_index.max() == n_u - 1
+        assert not surf.policy_index.flags.writeable
+        with pytest.raises(ValueError):
+            surf.policy_index[0, 0] = 0
+        _, policy = solve_pre(prob, solve_after(prob, grid), grid)
+        np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
+
+    def test_policy_is_built_anew_read_only_on_each_access(self):
+        surf = solve_system(generic_problem(lambda t, x, u: x - u), EQUIV_GRID)
+        first, second = surf.policy, surf.policy
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.dtype == np.float64 and not first.flags.writeable
+        np.testing.assert_array_equal(
+            _bits(first), _bits(EQUIV_GRID.control_nodes[surf.policy_index]))
+
+    @pytest.mark.parametrize("path", ["fork", "serial"])
+    def test_policy_is_solve_pre_and_the_reference_on_both_paths(self, forks, monkeypatch,
+                                                                 path):
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        prob = generic_problem(lambda t, x, u: x - u * (1.0 + t))
+        surf = solve_system(prob, EQUIV_GRID)
+        assert len(forks) == (path == "fork")
+        _assert_no_child()
+        _, _, ref = _ref_solve(prob, EQUIV_GRID)
+        _, policy = solve_pre(prob, solve_after(prob, EQUIV_GRID), EQUIV_GRID)
+        np.testing.assert_array_equal(_bits(surf.policy), _bits(ref))
+        np.testing.assert_array_equal(_bits(surf.policy), _bits(policy))
+        assert len(np.unique(ref[0])) > 1
+
+    def test_serial_solve_holds_two_float_surfaces_and_one_index_surface(self, monkeypatch):
+        # surfaces of 1001 x 41 values beside a 41 x 13 mesh: a float policy
+        # surface would add 77 mesh buffers to the peak
+        monkeypatch.delattr(os, "fork")
+        grid = dataclasses.replace(EQUIV_GRID, n_t=1000)
+        prob = generic_problem(lambda t, x, u: x - u)
+        surface = 8 * (grid.n_t + 1) * grid.n_x
+        mesh = 8 * grid.n_x * grid.control_nodes.size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            surf = solve_system(prob, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert surf.policy_index.nbytes == surface // 8
+        assert peak <= 2 * surface + surface // 8 + 32 * mesh
